@@ -170,7 +170,7 @@ BENCHMARK(BM_EccScalarMultWindow);
 void
 BM_SimulatorThroughput(benchmark::State &state)
 {
-    // How fast the ISA simulator itself retires the GF-core AES block.
+    // How fast the single-step simulator retires the GF-core AES block.
     Aes aes(std::vector<uint8_t>(16, 0x42));
     Machine m(aesBlockAsmGfcore(false), CoreKind::kGfProcessor);
     std::vector<uint8_t> rk;
@@ -227,8 +227,6 @@ main(int argc, char **argv)
     bench::BenchJsonReporter json("microbench_gf");
     json.add(std::string("host.clmul_") + clmulBackend().name,
              clmulBackend().accelerated ? 1 : 0, "flag");
-    json.add(std::string("host.dispatch_") + Core::dispatchKind(), 1,
-             "flag");
     JsonMirrorReporter reporter(json);
     benchmark::RunSpecifiedBenchmarks(&reporter);
     const char *path = std::getenv("GFP_BENCH_JSON");

@@ -8,11 +8,6 @@
 #include "jit/core_translation.h"
 #include "jit/translator.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace gfp {
 
 const std::vector<uint8_t> &
@@ -42,22 +37,6 @@ resolveThreads(unsigned requested)
         return requested;
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
-}
-
-void
-pinToCpu(unsigned worker_idx)
-{
-#if defined(__linux__)
-    unsigned hw = std::thread::hardware_concurrency();
-    if (!hw)
-        return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(worker_idx % hw, &set);
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-    (void)worker_idx;
-#endif
 }
 
 } // anonymous namespace
@@ -93,13 +72,8 @@ BatchEngine::BatchEngine(BatchProgram bp, Options opts)
     if (opts_.dispatch == DispatchMode::kTranslated) {
         // Compile once, share everywhere: the translation is immutable
         // host code plus lookup tables; all mutable run state lives in
-        // each worker's CoreTranslation.  The certificate-gated policy
-        // translates nothing when the certifier declines the program —
-        // those workers simply run fused.
-        jit::TranslateOptions topts;
-        topts.mem_bytes = opts_.mem_bytes;
-        topts.watchdog_max_instrs = opts_.max_instrs;
-        translation_ = jit::translate(program_, kind_, topts);
+        // each worker's CoreTranslation.
+        translation_ = jit::translate(program_, kind_);
     }
 }
 
@@ -230,8 +204,6 @@ BatchEngine::configureDispatch(Machine &machine) const
 void
 BatchEngine::workerLoop(unsigned w)
 {
-    if (opts_.pin_workers)
-        pinToCpu(w);
     uint64_t epoch = machine_epoch_.load(std::memory_order_acquire);
     auto machine =
         std::make_unique<Machine>(program_, kind_, opts_.mem_bytes);
@@ -261,13 +233,13 @@ BatchEngine::workerLoop(unsigned w)
             continue;
         }
         std::unique_lock<std::mutex> lk(idle_mu_);
-        if (stop_ && pending_.load(std::memory_order_acquire) == 0)
+        if (stop_ && pending_.load(std::memory_order_acquire) <= 0)
             break;
         idle_cv_.wait(lk, [this] {
             return stop_ ||
                    pending_.load(std::memory_order_acquire) > 0;
         });
-        if (stop_ && pending_.load(std::memory_order_acquire) == 0)
+        if (stop_ && pending_.load(std::memory_order_acquire) <= 0)
             break;
     }
 }
@@ -363,7 +335,11 @@ BatchEngine::submitBatch(std::vector<Job> jobs)
                          sh.depth.load(std::memory_order_relaxed)));
         base += count;
     }
-    pending_.fetch_add(n, std::memory_order_acq_rel);
+    // Published after the pushes: a worker already awake may claim a
+    // task first and drive the count below zero for an instant, which
+    // pendingJobs() clamps.  Publishing first would instead let workers
+    // that see a positive count spin on shard locks still empty.
+    pending_.fetch_add(static_cast<int64_t>(n), std::memory_order_acq_rel);
     {
         // Taking the idle lock (even empty) orders the pending_ bump
         // against any worker mid-way into its sleep decision.

@@ -176,19 +176,13 @@ class BatchEngine
         size_t mem_bytes = 256 * 1024;
 
         /**
-         * Dispatch mode for each worker's core (every mode is
-         * bit-exact with single stepping; kPlain is only useful for
+         * Dispatch mode for each worker's core (both modes are
+         * bit-exact with single stepping; kPlain is the reference for
          * differential testing and debugging).  kTranslated compiles
-         * the program once with the certificate-gated template JIT
-         * (src/jit) and shares the translation across workers;
-         * programs the certifier declines simply run fused.
+         * the program once with the template JIT (src/jit) and shares
+         * the translation across workers.
          */
-        DispatchMode dispatch = DispatchMode::kFused;
-
-        /** Pin worker w to host CPU (w mod hardware_concurrency) so a
-         *  worker's Machine (and its predecode cache) stays cache-warm
-         *  on one core.  Linux only; silently ignored elsewhere. */
-        bool pin_workers = false;
+        DispatchMode dispatch = DispatchMode::kTranslated;
     };
 
     BatchEngine(BatchProgram bp, Options opts);
@@ -252,13 +246,16 @@ class BatchEngine
     /**
      * Jobs submitted but not yet claimed by a worker — the queue-depth
      * signal admission-control layers watch (src/service uses it to
-     * reject with retry-after once a watermark is crossed).  Lock-free
-     * and monotonic-consistent: the value was exact at some instant
-     * between call and return.
+     * reject with retry-after once a watermark is crossed).  Lock-free,
+     * and never more than the jobs submitted but not yet claimed: a
+     * worker may claim a job before submitBatch() publishes its count,
+     * so the counter can dip below zero for that instant, and reads
+     * clamp it at zero.
      */
     size_t pendingJobs() const
     {
-        return pending_.load(std::memory_order_acquire);
+        const int64_t v = pending_.load(std::memory_order_acquire);
+        return v > 0 ? static_cast<size_t>(v) : 0;
     }
 
     /**
@@ -345,7 +342,7 @@ class BatchEngine
     unsigned threads_;
 
     /** Shared immutable translation (kTranslated only; may hold zero
-     *  blocks when the certifier declined the program). */
+     *  blocks when nothing in the program is translatable). */
     std::shared_ptr<const jit::CompiledProgram> translation_;
 
     // ---- pool state ----
@@ -359,10 +356,12 @@ class BatchEngine
     std::atomic<uint64_t> machine_epoch_{0}; ///< refreshWorkers() ticks
 
     // ---- idle/wakeup protocol: pending_ counts queued-but-unclaimed
-    // jobs; workers sleep on idle_cv_ only when it reads zero ----
+    // jobs; workers sleep on idle_cv_ only when it reads zero or less.
+    // Signed because submitBatch() publishes the count after pushing
+    // the tasks, so a claim can be subtracted first ----
     std::mutex idle_mu_;
     std::condition_variable idle_cv_;
-    std::atomic<size_t> pending_{0};
+    std::atomic<int64_t> pending_{0};
     bool stop_ = false;
 
     // ---- steal telemetry (engine-lifetime; published as gauges) ----

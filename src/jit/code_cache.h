@@ -1,11 +1,11 @@
 /**
  * @file
- * W^X executable-memory arena for the native JIT backends.
+ * W^X executable-memory arena for the native JIT backend.
  *
  * Strict write-xor-execute lifecycle: the buffer is mmap'd
  * PROT_READ|PROT_WRITE, the emitter fills it, finalize() flips it to
  * PROT_READ|PROT_EXEC (never writable+executable at the same time) and
- * flushes the instruction cache where that matters (AArch64).  This is
+ * flushes the instruction cache on hosts that need it.  This is
  * both the hardening posture CI's sanitizer jobs expect and what keeps
  * the JIT suites clean under ASan — the pages come from mmap, not the
  * C++ heap, so the poisoned-redzone machinery never sees them.

@@ -2,7 +2,7 @@
  * @file
  * The mutable run state generated code works against.
  *
- * The native backends address these fields by fixed byte offsets (a
+ * The native backend addresses these fields by fixed byte offsets (a
  * pointer to the context rides in a reserved host register), so the
  * layout is pinned with static_asserts; the threaded fallback reads
  * the same struct through plain C++.  One context per core, refilled

@@ -5,6 +5,7 @@
 
 #include "common/strutil.h"
 #include "sim/cost_model.h"
+#include "sim/machine.h"
 #include "sim/profiler.h"
 
 namespace gfp::jit {
@@ -176,6 +177,15 @@ makeCoreTranslation(std::shared_ptr<const CompiledProgram> cp)
     if (cp == nullptr)
         return nullptr;
     return std::make_unique<CoreTranslation>(std::move(cp));
+}
+
+void
+installTranslation(Machine &machine, const TranslateOptions &opts)
+{
+    Core &core = machine.core();
+    core.setTranslation(makeCoreTranslation(
+        translate(machine.program(), core.kind(), opts)));
+    core.setDispatchMode(DispatchMode::kTranslated);
 }
 
 } // namespace gfp::jit

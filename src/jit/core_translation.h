@@ -34,6 +34,10 @@
 #include "jit/translator.h"
 #include "sim/translation.h"
 
+namespace gfp {
+class Machine;
+}
+
 namespace gfp::jit {
 
 class CoreTranslation final : public Translation
@@ -79,6 +83,10 @@ class CoreTranslation final : public Translation
  *  (null in, null out — callers forward translate() results). */
 std::unique_ptr<Translation>
 makeCoreTranslation(std::shared_ptr<const CompiledProgram> cp);
+
+/** Translate @p machine's program for its core and switch the core to
+ *  kTranslated dispatch over the result. */
+void installTranslation(Machine &machine, const TranslateOptions &opts = {});
 
 } // namespace gfp::jit
 

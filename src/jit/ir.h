@@ -13,9 +13,9 @@
  * multiplies these by the execution counters the generated code bumps
  * to reconstruct totals bit-identical to single stepping.
  *
- * Both backends consume this IR unchanged: the native templates
- * (jit/backend_x64.cc, jit/backend_a64.cc) copy-patch one host-code
- * template per instruction, and the portable threaded-code fallback
+ * Both backends consume this IR unchanged: the native x86-64 templates
+ * (jit/backend_x64.cc) copy-patch one host-code template per
+ * instruction, and the portable threaded-code fallback
  * (jit/backend_threaded.cc) interprets the same blocks with the same
  * guards when native emission is off (-DGFP_JIT=OFF) or the host
  * architecture has no backend.
@@ -37,7 +37,7 @@ enum class TermKind : uint8_t {
     /** No terminator instruction: the next word is a leader or is
      *  untranslatable (gfcfg, undecodable, GF op on a baseline core).
      *  Control continues at `next` — a translated head, or an exit to
-     *  the interpreter. */
+     *  Core::step(). */
     kFallThrough,
     kBranch,     ///< unconditional b; last body instr, to `target`
     kCondBranch, ///< bcc; taken to `target`, else to `next`

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "analysis/certify.h"
 #include "common/logging.h"
 #include "common/strutil.h"
 #include "isa/encoding.h"
@@ -47,7 +46,7 @@ isControlTransfer(Op op)
  *  barrier (it changes the reduction matrix the GF helper tables are
  *  keyed on, and it can trap on its blob); GF ops on a baseline core
  *  and undecodable words trap unconditionally — all of them exit to
- *  the interpreter, which raises the exact architectural behavior. */
+ *  Core::step(), which raises the exact architectural behavior. */
 bool
 translatable(const Instr &in, CoreKind kind)
 {
@@ -88,8 +87,6 @@ nativeBackendName()
 {
 #if GFP_JIT_NATIVE && defined(__x86_64__)
     return "x86-64";
-#elif GFP_JIT_NATIVE && defined(__aarch64__)
-    return "aarch64";
 #else
     return "threaded";
 #endif
@@ -103,26 +100,6 @@ translate(const Program &prog, CoreKind kind, const TranslateOptions &opts)
     cp->words_ = prog.code;
     const uint32_t n = static_cast<uint32_t>(prog.code.size());
     cp->block_at_.assign(n, -1);
-
-    if (opts.policy == TranslatePolicy::kOff) {
-        cp->policy_note_ = "translation disabled by policy";
-        return cp;
-    }
-    if (opts.policy == TranslatePolicy::kCertified) {
-        CertifyOptions co;
-        co.mem_bytes = opts.mem_bytes;
-        co.watchdog_max_instrs = opts.watchdog_max_instrs;
-        const ProgramCertificate cert = certifyProgram(prog, co);
-        if (!cert.jit_safe || !cert.cost.bounded) {
-            std::string why = !cert.jit_safe
-                                  ? (cert.caveats.empty()
-                                         ? std::string("not jit-safe")
-                                         : cert.caveats.front())
-                                  : "cost unbounded: " + cert.cost.reason;
-            cp->policy_note_ = "certificate declined: " + why;
-            return cp;
-        }
-    }
 
     // Decode every word once; undecodable words are block barriers.
     std::vector<Instr> decoded(n);
@@ -223,16 +200,13 @@ translate(const Program &prog, CoreKind kind, const TranslateOptions &opts)
     }
 
     if (cp->blocks_.empty()) {
-        if (cp->policy_note_.empty())
-            cp->policy_note_ = "no translatable blocks";
+        cp->policy_note_ = "no translatable blocks";
         return cp;
     }
 
     if (opts.backend == Backend::kAuto) {
 #if GFP_JIT_NATIVE && defined(__x86_64__)
         emitX64(*cp, cp->native_);
-#elif GFP_JIT_NATIVE && defined(__aarch64__)
-        emitA64(*cp, cp->native_);
 #endif
     }
     return cp;

@@ -2,29 +2,25 @@
  * @file
  * The template-JIT translator: guest program -> CompiledProgram.
  *
- * Translation is a straight-line affair, deliberately: the fused
- * interpreter already wins on decode and dispatch, so the JIT's edge
- * is removing dispatch *entirely* inside basic blocks and across
- * direct branches.  The translator slices the code into blocks at
- * liberal leader points (every label, every branch/call target, every
- * word after a control transfer or gfcfg), computes each block's
- * static retire costs, and hands the block IR (jit/ir.h) to a backend:
- * copy-patched native templates on x86-64/AArch64, or the portable
- * threaded-code-array interpreter everywhere else (and always with
- * -DGFP_JIT=OFF).
+ * Translation is a straight-line affair, deliberately: the JIT's edge
+ * over single stepping is removing decode and dispatch *entirely*
+ * inside basic blocks and across direct branches.  The translator
+ * slices the code into blocks at liberal leader points (every label,
+ * every branch/call target, every word after a control transfer or
+ * gfcfg), computes each block's static retire costs, and hands the
+ * block IR (jit/ir.h) to a backend: copy-patched native templates on
+ * x86-64, or the portable threaded-code-array interpreter everywhere
+ * else (and always with -DGFP_JIT=OFF).
  *
- * Eligibility is policy, soundness is not: by default (kCertified) a
- * program is translated only when the abstract-interpretation
- * certifier (analysis/certify.h) proves it jit-safe and bounded —
- * that is the admission decision an IoT node would make.  But the
- * certificates assume a pristine Machine launch, and engine jobs
- * write inputs first, so the generated code still carries every
- * dynamic guard the interpreter enforces: bounds checks on all memory
+ * Every structurally translatable block of every program is compiled;
+ * no certificate is consulted.  The generated code carries every
+ * dynamic guard the interpreter enforces — bounds checks on all memory
  * traffic, store-to-code (SMC) checks against the watch limit, budget
- * checks against the watchdog, and code-epoch revalidation at entry.
- * kEager skips the certificates (differential tests use it to cover
- * arbitrary, even hostile, programs); the guards make it exactly as
- * safe, merely less polite about deopting.
+ * checks against the watchdog, and code-epoch revalidation at entry —
+ * and deopts to Core::step() at anything it cannot commit, so hostile
+ * programs run exactly as safely as trusted ones.  Trust in the
+ * translation comes from the dispatch differential suite, which checks
+ * it against plain stepping.
  */
 
 #ifndef GFP_JIT_TRANSLATOR_H
@@ -44,18 +40,6 @@ namespace gfp::jit {
 
 class CodeCache;
 
-enum class TranslatePolicy : uint8_t {
-    /** Translate iff certifyProgram() proves the whole program
-     *  jit-safe and cost-bounded; declined programs get an empty
-     *  translation (the interpreter runs them). */
-    kCertified,
-    /** Translate every structurally translatable block, no
-     *  certificates consulted.  The dynamic guards keep this sound;
-     *  the differential suites use it to cover random programs. */
-    kEager,
-    kOff,
-};
-
 enum class Backend : uint8_t {
     kAuto,     ///< native when built in and the host has one, else threaded
     kThreaded, ///< force the portable threaded-code fallback
@@ -63,13 +47,14 @@ enum class Backend : uint8_t {
 
 struct TranslateOptions
 {
-    TranslatePolicy policy = TranslatePolicy::kCertified;
     Backend backend = Backend::kAuto;
 
-    /** Guest memory size the certificates are checked against. */
+    /** Unused by translate(): no certificate is checked, and memory
+     *  bounds are guarded at run time.  Kept for existing callers. */
     size_t mem_bytes = 256 * 1024;
 
-    /** Watchdog cap the cost certificate is checked against. */
+    /** Unused by translate(): the watchdog budget is enforced at run
+     *  time against Core::run's cap.  Kept for existing callers. */
     uint64_t watchdog_max_instrs = 500'000'000;
 };
 
@@ -87,7 +72,7 @@ struct NativeCode
      *  host registers, loads the context, and jumps to the block. */
     const void *enter = nullptr;
 
-    const char *arch = nullptr; ///< "x86-64" or "aarch64"
+    const char *arch = nullptr; ///< "x86-64"
 };
 
 /**
@@ -124,7 +109,7 @@ class CompiledProgram
         return native_.enter ? native_.arch : "threaded";
     }
 
-    /** Why the policy translated nothing (empty when it did). */
+    /** Why nothing was translated (empty when something was). */
     const std::string &policyNote() const { return policy_note_; }
 
     /** One line for tools/tests: backend, block and word counts. */
@@ -160,10 +145,9 @@ translate(const Program &prog, CoreKind kind,
 /** Native backend this build would use on this host, or "threaded". */
 const char *nativeBackendName();
 
-// Backend entry points (jit/backend_*.cc).  Emit native code for every
-// block of @p cp into @p out; false when unsupported.
+/** The native backend (jit/backend_x64.cc): emit code for every block
+ *  of @p cp into @p out; false when unsupported. */
 bool emitX64(const CompiledProgram &cp, NativeCode &out);
-bool emitA64(const CompiledProgram &cp, NativeCode &out);
 
 /** The portable fallback: interpret the block IR under the same
  *  contract the native code follows (jit/backend_threaded.cc). */

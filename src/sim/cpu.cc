@@ -1,157 +1,18 @@
 #include "sim/cpu.h"
 
 #include "common/logging.h"
-#include "common/strutil.h"
-#include "isa/disasm.h"
 #include "isa/encoding.h"
 #include "sim/cost_model.h"
 #include "sim/profiler.h"
 #include "sim/translation.h"
 
-// Inner-interpreter flavor.  GFP_THREADED_DISPATCH is normally set by
-// CMake (option of the same name, default ON); computed goto needs the
-// GNU labels-as-values extension, so other compilers silently get the
-// portable switch loop.
-#ifndef GFP_THREADED_DISPATCH
-#define GFP_THREADED_DISPATCH 1
-#endif
-#if GFP_THREADED_DISPATCH && (defined(__GNUC__) || defined(__clang__))
-#define GFP_FAST_GOTO 1
-#else
-#define GFP_FAST_GOTO 0
-#endif
-
 namespace gfp {
-
-namespace {
-
-// Dispatch-table indices for the fast interpreter.  The fused forms
-// come first (hBail == 0 matches FusedOp's default "divert to step()"),
-// then one handler per opcode in Op-enum order.
-#define GFP_FAST_OPS(X)                                                     \
-    X(Add) X(Sub) X(And) X(Orr) X(Eor) X(Lsl) X(Lsr) X(Asr) X(Mul)         \
-    X(Mov) X(Cmp)                                                           \
-    X(Addi) X(Subi) X(Andi) X(Orri) X(Eori) X(Lsli) X(Lsri) X(Asri)        \
-    X(Movi) X(Movt) X(Cmpi)                                                 \
-    X(Ldr) X(Str) X(Ldrb) X(Strb) X(Ldrh) X(Strh)                          \
-    X(Ldrr) X(Strr) X(Ldrbr) X(Strbr) X(Ldrhr) X(Strhr)                    \
-    X(B) X(Beq) X(Bne) X(Blt) X(Bge) X(Bgt) X(Ble) X(Blo) X(Bhs) X(Bhi)    \
-    X(Bls) X(Bl) X(Jr) X(Ret) X(Nop) X(Halt)                               \
-    X(GfMuls) X(GfInvs) X(GfSqs) X(GfPows) X(GfAdds) X(Gf32Mul) X(GfCfg)
-
-enum : uint16_t {
-    hBail = 0,
-    hCmpBcc,
-    hCmpiBcc,
-    hLdGf,
-    hAluLd,
-    hAluSt,
-    hSqChain,
-#define GFP_H(name) h##name,
-    GFP_FAST_OPS(GFP_H)
-#undef GFP_H
-};
-
-constexpr uint16_t hOpBase = hAdd;
-static_assert(hOpBase + static_cast<uint16_t>(Op::kHalt) == hHalt,
-              "handler table out of sync with the Op enum");
-static_assert(hOpBase + static_cast<uint16_t>(Op::kGfCfg) == hGfCfg,
-              "handler table out of sync with the Op enum");
-
-bool
-isCondBranchOp(Op op)
-{
-    switch (op) {
-      case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-      case Op::kBgt: case Op::kBle: case Op::kBlo: case Op::kBhs:
-      case Op::kBhi: case Op::kBls:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isLoadOp(Op op)
-{
-    return classOf(op) == InstrClass::kLoad;
-}
-
-bool
-isStoreOp(Op op)
-{
-    return classOf(op) == InstrClass::kStore;
-}
-
-/** Register-indexed memory forms (address = rs1 + rs2). */
-bool
-isRegFormMem(Op op)
-{
-    switch (op) {
-      case Op::kLdrr: case Op::kStrr: case Op::kLdrbr:
-      case Op::kStrbr: case Op::kLdrhr: case Op::kStrhr:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** SIMD GF ops fusable behind a load. */
-bool
-isSimdGfOp(Op op)
-{
-    switch (op) {
-      case Op::kGfMuls: case Op::kGfInvs: case Op::kGfSqs:
-      case Op::kGfPows: case Op::kGfAdds:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** SIMD GF ops with a second register source. */
-bool
-simdReadsRs2(Op op)
-{
-    return op == Op::kGfMuls || op == Op::kGfPows || op == Op::kGfAdds;
-}
-
-/** ALU ops that commonly generate addresses and can never trap. */
-bool
-isAddrGenAluOp(Op op)
-{
-    switch (op) {
-      case Op::kAdd: case Op::kAddi: case Op::kSub: case Op::kSubi:
-      case Op::kLsl: case Op::kLsli: case Op::kLsr: case Op::kLsri:
-      case Op::kMov: case Op::kMovi:
-        return true;
-      default:
-        return false;
-    }
-}
-
-const char *
-fusedKindName(uint16_t handler)
-{
-    switch (handler) {
-      case hCmpBcc:  return "cmp+bcc";
-      case hCmpiBcc: return "cmpi+bcc";
-      case hLdGf:    return "ld+gf";
-      case hAluLd:   return "alu+ld";
-      case hAluSt:   return "alu+st";
-      case hSqChain: return "gfsqs-chain";
-      default:       return "single";
-    }
-}
-
-} // namespace
 
 const char *
 dispatchModeName(DispatchMode mode)
 {
     switch (mode) {
       case DispatchMode::kPlain:      return "plain";
-      case DispatchMode::kFused:      return "fused";
       case DispatchMode::kTranslated: return "translated";
     }
     return "?";
@@ -162,8 +23,6 @@ parseDispatchMode(std::string_view name, DispatchMode &out)
 {
     if (name == "plain")
         out = DispatchMode::kPlain;
-    else if (name == "fused")
-        out = DispatchMode::kFused;
     else if (name == "translated")
         out = DispatchMode::kTranslated;
     else
@@ -469,7 +328,6 @@ Core::disablePredecode()
     predecode_limit_ = 0;
     mem_.watchCode(0);
     icache_.clear();
-    fused_.clear();
 }
 
 void
@@ -483,596 +341,6 @@ Core::rebuildPredecode()
             p.cls = classOf(p.in.op);
     }
     predecode_epoch_ = mem_.codeEpoch();
-    rebuildFusion();
-}
-
-void
-Core::rebuildFusion()
-{
-    const size_t n = icache_.size();
-    fused_.assign(n, FusedOp());
-
-    auto singleHandler = [this](const Instr &in) -> uint16_t {
-        // Ops with trap-heavy or rare semantics stay on the slow path:
-        // gfcfg validates a memory blob, and every GF op on a baseline
-        // core must raise GfOnBaseline.
-        if (in.op == Op::kGfCfg)
-            return hBail;
-        if (kind_ == CoreKind::kBaseline && isGfOp(in.op))
-            return hBail;
-        return static_cast<uint16_t>(hOpBase +
-                                     static_cast<uint16_t>(in.op));
-    };
-
-    for (size_t i = 0; i < n; ++i) {
-        FusedOp &f = fused_[i];
-        if (!icache_[i].valid)
-            continue; // stays hBail: step() raises IllegalInstruction
-        const Instr &a = icache_[i].in;
-        f.handler = singleHandler(a);
-        f.len = 1;
-        f.a = a;
-        if (f.handler == hBail)
-            continue;
-        const Instr *b =
-            (i + 1 < n && icache_[i + 1].valid) ? &icache_[i + 1].in
-                                                : nullptr;
-
-        // compare + conditional branch (flag producer feeds consumer)
-        if (b && (a.op == Op::kCmp || a.op == Op::kCmpi) &&
-            isCondBranchOp(b->op)) {
-            f.handler = a.op == Op::kCmp ? hCmpBcc : hCmpiBcc;
-            f.len = 2;
-            f.b = *b;
-            continue;
-        }
-        // Itoh-Tsujii square-chain run: gfsqs rd, ... ; gfsqs rd, rd ...
-        if (kind_ == CoreKind::kGfProcessor && a.op == Op::kGfSqs) {
-            size_t j = i + 1;
-            while (j < n && j - i < 255 && icache_[j].valid &&
-                   icache_[j].in.op == Op::kGfSqs &&
-                   icache_[j].in.rd == a.rd && icache_[j].in.rs1 == a.rd)
-                ++j;
-            if (j - i >= 2) {
-                f.handler = hSqChain;
-                f.len = static_cast<uint8_t>(j - i);
-                continue;
-            }
-        }
-        // load feeding a SIMD GF op
-        if (b && kind_ == CoreKind::kGfProcessor && isLoadOp(a.op) &&
-            isSimdGfOp(b->op) &&
-            (b->rs1 == a.rd || (simdReadsRs2(b->op) && b->rs2 == a.rd))) {
-            f.handler = hLdGf;
-            f.len = 2;
-            f.b = *b;
-            continue;
-        }
-        // address-generation ALU op feeding a load/store
-        if (b && isAddrGenAluOp(a.op) &&
-            (isLoadOp(b->op) || isStoreOp(b->op)) &&
-            (b->rs1 == a.rd || (isRegFormMem(b->op) && b->rs2 == a.rd))) {
-            f.handler = isLoadOp(b->op) ? hAluLd : hAluSt;
-            f.len = 2;
-            f.b = *b;
-            continue;
-        }
-    }
-}
-
-const char *
-Core::dispatchKind()
-{
-#if GFP_FAST_GOTO
-    return "computed-goto";
-#else
-    return "switch";
-#endif
-}
-
-std::vector<std::string>
-Core::fusionDump() const
-{
-    std::vector<std::string> out;
-    for (size_t i = 0; i < fused_.size(); ++i) {
-        const FusedOp &f = fused_[i];
-        if (f.handler == hBail || f.len < 2)
-            continue;
-        out.push_back(strprintf("0x%04zx %s len=%u", 4 * i,
-                                fusedKindName(f.handler),
-                                static_cast<unsigned>(f.len)));
-    }
-    return out;
-}
-
-/**
- * The fast path run() uses: a threaded interpreter over the fused
- * micro-op stream.  Invariants that keep it bit-exact with step():
- *
- *  - Every dispatch re-checks the code epoch, the pc, and the watchdog
- *    budget, so self-modifying stores and SEU flips de-fuse before the
- *    next instruction issues.
- *  - A handler that might trap (memory out of range, stale GFAU config,
- *    gfcfg, GF op on the baseline, undecodable word) *returns before
- *    committing anything*; run() then executes that instruction through
- *    step(), which raises the exact architectural trap.
- *  - Statistics are recorded with the same per-instruction record()
- *    calls and the same class/cycle pairs the slow path uses.
- */
-void
-Core::runFast(RunResult &res, uint64_t max_instrs)
-{
-    if (requested_trap_ != TrapKind::kNone)
-        return;
-    if (predecode_epoch_ != mem_.codeEpoch())
-        rebuildPredecode();
-
-    auto &r = regs_;
-    const size_t msize = mem_.size();
-    const uint32_t limit = predecode_limit_;
-    const FusedOp *f = nullptr;
-
-    // Every use sites a bounds check first, so the unchecked inline
-    // accessors apply; storeFast still bumps the code epoch for writes
-    // into the watched region.
-    auto memLoad = [this](uint32_t a, unsigned n) -> uint32_t {
-        return mem_.loadFast(a, n);
-    };
-    auto memStore = [this](uint32_t a, unsigned n, uint32_t v) {
-        mem_.storeFast(a, n, v);
-    };
-    auto eaWidth = [](Op op) -> unsigned {
-        switch (op) {
-          case Op::kLdr: case Op::kStr: case Op::kLdrr: case Op::kStrr:
-            return 4;
-          case Op::kLdrh: case Op::kStrh: case Op::kLdrhr: case Op::kStrhr:
-            return 2;
-          default:
-            return 1;
-        }
-    };
-    auto simdApply = [this, &r](const Instr &in) -> uint32_t {
-        switch (in.op) {
-          case Op::kGfMuls: return gfau_.simdMult(r[in.rs1], r[in.rs2]);
-          case Op::kGfInvs: return gfau_.simdInverse(r[in.rs1]);
-          case Op::kGfSqs:  return gfau_.simdSquare(r[in.rs1]);
-          case Op::kGfPows: return gfau_.simdPower(r[in.rs1], r[in.rs2]);
-          default:          return gfau_.simdAdd(r[in.rs1], r[in.rs2]);
-        }
-    };
-    // Only the ops isAddrGenAluOp() admits — none can trap.
-    auto aluValue = [&r](const Instr &in) -> uint32_t {
-        switch (in.op) {
-          case Op::kAdd:  return r[in.rs1] + r[in.rs2];
-          case Op::kAddi: return r[in.rs1] + static_cast<uint32_t>(in.imm);
-          case Op::kSub:  return r[in.rs1] - r[in.rs2];
-          case Op::kSubi: return r[in.rs1] - static_cast<uint32_t>(in.imm);
-          case Op::kLsl:  return r[in.rs1] << (r[in.rs2] & 31);
-          case Op::kLsli: return r[in.rs1] << (in.imm & 31);
-          case Op::kLsr:  return r[in.rs1] >> (r[in.rs2] & 31);
-          case Op::kLsri: return r[in.rs1] >> (in.imm & 31);
-          case Op::kMov:  return r[in.rs1];
-          default:        return static_cast<uint32_t>(in.imm) & 0xffff;
-        }
-    };
-
-// Re-checked before *every* dispatch: stale code epoch, pc outside the
-// predecoded region, or an exhausted instruction budget all divert to
-// the caller (which steps or raises the watchdog).
-#define GFP_CHECKS                                                          \
-    do {                                                                    \
-        if (predecode_epoch_ != mem_.codeEpoch())                           \
-            return;                                                         \
-        if (pc_ >= limit || (pc_ & 3u) != 0)                                \
-            return;                                                         \
-        f = &fused_[pc_ >> 2];                                              \
-        if (res.instrs + f->len > max_instrs)                               \
-            return;                                                         \
-    } while (0)
-
-#if GFP_FAST_GOTO
-    // Computed-goto threading: each handler jumps straight to the next
-    // one through kLabels, no central loop.  Order must match the
-    // handler enum exactly.
-    static const void *const kLabels[] = {
-        &&L_Bail, &&L_CmpBcc, &&L_CmpiBcc, &&L_LdGf, &&L_AluLd,
-        &&L_AluSt, &&L_SqChain,
-#define GFP_L(name) &&L_##name,
-        GFP_FAST_OPS(GFP_L)
-#undef GFP_L
-    };
-#define GFP_CASE(name) L_##name:
-#define GFP_NEXT                                                            \
-    do {                                                                    \
-        GFP_CHECKS;                                                         \
-        goto *kLabels[f->handler];                                          \
-    } while (0)
-    GFP_CHECKS;
-    goto *kLabels[f->handler];
-#else
-    // Portable fallback: one switch per dispatch inside a tight loop.
-#define GFP_CASE(name) case h##name:
-#define GFP_NEXT break
-    for (;;) {
-        GFP_CHECKS;
-        switch (f->handler) {
-#endif
-
-#define GFP_RETIRE(cls, cyc, target)                                        \
-    do {                                                                    \
-        const uint32_t retire_pc = pc_;                                     \
-        pc_ = (target);                                                     \
-        stats_.record(InstrClass::cls, (cyc));                              \
-        if (profile_)                                                       \
-            profile_->record(retire_pc, InstrClass::cls, (cyc));            \
-        ++res.instrs;                                                       \
-    } while (0)
-
-#define GFP_ALU(name, expr)                                                 \
-    GFP_CASE(name)                                                          \
-    {                                                                       \
-        const Instr &in = f->a;                                             \
-        r[in.rd] = (expr);                                                  \
-        GFP_RETIRE(kAlu, 1, pc_ + 4);                                       \
-        GFP_NEXT;                                                           \
-    }
-
-#define GFP_LD(name, nbytes, addrexpr)                                      \
-    GFP_CASE(name)                                                          \
-    {                                                                       \
-        const Instr &in = f->a;                                             \
-        const uint32_t a32 = (addrexpr);                                    \
-        if (static_cast<uint64_t>(a32) + (nbytes) > msize)                  \
-            return;                                                         \
-        r[in.rd] = memLoad(a32, (nbytes));                                  \
-        GFP_RETIRE(kLoad, kMemCycles, pc_ + 4);                                      \
-        GFP_NEXT;                                                           \
-    }
-
-#define GFP_ST(name, nbytes, addrexpr)                                      \
-    GFP_CASE(name)                                                          \
-    {                                                                       \
-        const Instr &in = f->a;                                             \
-        const uint32_t a32 = (addrexpr);                                    \
-        if (static_cast<uint64_t>(a32) + (nbytes) > msize)                  \
-            return;                                                         \
-        memStore(a32, (nbytes), r[in.rd]);                                  \
-        GFP_RETIRE(kStore, kMemCycles, pc_ + 4);                                     \
-        GFP_NEXT;                                                           \
-    }
-
-#define GFP_BR(name, taken_expr)                                            \
-    GFP_CASE(name)                                                          \
-    {                                                                       \
-        if (taken_expr) {                                                   \
-            GFP_RETIRE(kBranch, kTakenBranchCycles,                     \
-                       pc_ + 4 + static_cast<uint32_t>(f->a.imm) * 4);      \
-        } else {                                                            \
-            GFP_RETIRE(kBranch, kDefaultCycles, pc_ + 4);                                \
-        }                                                                   \
-        GFP_NEXT;                                                           \
-    }
-
-// Fused compare + conditional branch: flags commit, then the branch at
-// pc+4 resolves against them (its target is relative to pc+8).
-#define GFP_CMPBCC_TAIL                                                     \
-    do {                                                                    \
-        stats_.record(InstrClass::kAlu, 1);                                 \
-        const unsigned br_cyc =                                             \
-            condition(f->b.op) ? kTakenBranchCycles : kDefaultCycles;       \
-        stats_.record(InstrClass::kBranch, br_cyc);                         \
-        if (profile_) {                                                     \
-            profile_->record(pc_, InstrClass::kAlu, 1);                     \
-            profile_->record(pc_ + 4, InstrClass::kBranch, br_cyc);         \
-        }                                                                   \
-        if (br_cyc == kTakenBranchCycles)                                   \
-            pc_ = pc_ + 8 + static_cast<uint32_t>(f->b.imm) * 4;            \
-        else                                                                \
-            pc_ += 8;                                                       \
-        res.instrs += 2;                                                    \
-    } while (0)
-
-    GFP_CASE(Bail)
-    {
-        return;
-    }
-
-    GFP_CASE(CmpBcc)
-    {
-        setFlagsSub(r[f->a.rs1], r[f->a.rs2]);
-        GFP_CMPBCC_TAIL;
-        GFP_NEXT;
-    }
-
-    GFP_CASE(CmpiBcc)
-    {
-        setFlagsSub(r[f->a.rs1], static_cast<uint32_t>(f->a.imm));
-        GFP_CMPBCC_TAIL;
-        GFP_NEXT;
-    }
-
-    GFP_CASE(LdGf)
-    {
-        if (!gfau_.configValid())
-            return;
-        const Instr &ld = f->a;
-        const unsigned n = eaWidth(ld.op);
-        const uint32_t a32 = isRegFormMem(ld.op)
-                                 ? r[ld.rs1] + r[ld.rs2]
-                                 : r[ld.rs1] + static_cast<uint32_t>(ld.imm);
-        if (static_cast<uint64_t>(a32) + n > msize)
-            return;
-        r[ld.rd] = memLoad(a32, n);
-        r[f->b.rd] = simdApply(f->b);
-        stats_.record(InstrClass::kLoad, kMemCycles);
-        stats_.record(InstrClass::kGfSimd, 1);
-        if (profile_) {
-            profile_->record(pc_, InstrClass::kLoad, kMemCycles);
-            profile_->record(pc_ + 4, InstrClass::kGfSimd, 1);
-        }
-        pc_ += 8;
-        res.instrs += 2;
-        GFP_NEXT;
-    }
-
-    GFP_CASE(AluLd)
-    {
-        const Instr &alu = f->a;
-        const Instr &ld = f->b;
-        const uint32_t t = aluValue(alu);
-        const uint32_t base = ld.rs1 == alu.rd ? t : r[ld.rs1];
-        const unsigned n = eaWidth(ld.op);
-        const uint32_t a32 =
-            isRegFormMem(ld.op)
-                ? base + (ld.rs2 == alu.rd ? t : r[ld.rs2])
-                : base + static_cast<uint32_t>(ld.imm);
-        if (static_cast<uint64_t>(a32) + n > msize)
-            return; // nothing committed; step() replays both instructions
-        r[alu.rd] = t;
-        r[ld.rd] = memLoad(a32, n);
-        stats_.record(InstrClass::kAlu, 1);
-        stats_.record(InstrClass::kLoad, kMemCycles);
-        if (profile_) {
-            profile_->record(pc_, InstrClass::kAlu, 1);
-            profile_->record(pc_ + 4, InstrClass::kLoad, kMemCycles);
-        }
-        pc_ += 8;
-        res.instrs += 2;
-        GFP_NEXT;
-    }
-
-    GFP_CASE(AluSt)
-    {
-        const Instr &alu = f->a;
-        const Instr &st = f->b;
-        const uint32_t t = aluValue(alu);
-        const uint32_t base = st.rs1 == alu.rd ? t : r[st.rs1];
-        const unsigned n = eaWidth(st.op);
-        const uint32_t a32 =
-            isRegFormMem(st.op)
-                ? base + (st.rs2 == alu.rd ? t : r[st.rs2])
-                : base + static_cast<uint32_t>(st.imm);
-        if (static_cast<uint64_t>(a32) + n > msize)
-            return;
-        const uint32_t val = st.rd == alu.rd ? t : r[st.rd];
-        r[alu.rd] = t;
-        // A store into the code region bumps the epoch; the next
-        // dispatch's GFP_CHECKS sees it and de-fuses.
-        memStore(a32, n, val);
-        stats_.record(InstrClass::kAlu, 1);
-        stats_.record(InstrClass::kStore, kMemCycles);
-        if (profile_) {
-            profile_->record(pc_, InstrClass::kAlu, 1);
-            profile_->record(pc_ + 4, InstrClass::kStore, kMemCycles);
-        }
-        pc_ += 8;
-        res.instrs += 2;
-        GFP_NEXT;
-    }
-
-    GFP_CASE(SqChain)
-    {
-        if (!gfau_.configValid())
-            return;
-        uint32_t v = gfau_.simdSquare(r[f->a.rs1]);
-        for (unsigned k = 1; k < f->len; ++k)
-            v = gfau_.simdSquare(v);
-        r[f->a.rd] = v;
-        for (unsigned k = 0; k < f->len; ++k) {
-            stats_.record(InstrClass::kGfSimd, 1);
-            if (profile_)
-                profile_->record(pc_ + 4u * k, InstrClass::kGfSimd, 1);
-        }
-        pc_ += 4u * f->len;
-        res.instrs += f->len;
-        GFP_NEXT;
-    }
-
-    GFP_ALU(Add, r[in.rs1] + r[in.rs2])
-    GFP_ALU(Sub, r[in.rs1] - r[in.rs2])
-    GFP_ALU(And, r[in.rs1] & r[in.rs2])
-    GFP_ALU(Orr, r[in.rs1] | r[in.rs2])
-    GFP_ALU(Eor, r[in.rs1] ^ r[in.rs2])
-    GFP_ALU(Lsl, r[in.rs1] << (r[in.rs2] & 31))
-    GFP_ALU(Lsr, r[in.rs1] >> (r[in.rs2] & 31))
-    GFP_ALU(Asr, static_cast<uint32_t>(static_cast<int32_t>(r[in.rs1]) >>
-                                       (r[in.rs2] & 31)))
-    GFP_ALU(Mul, r[in.rs1] * r[in.rs2])
-    GFP_ALU(Mov, r[in.rs1])
-
-    GFP_CASE(Cmp)
-    {
-        setFlagsSub(r[f->a.rs1], r[f->a.rs2]);
-        GFP_RETIRE(kAlu, 1, pc_ + 4);
-        GFP_NEXT;
-    }
-
-    GFP_ALU(Addi, r[in.rs1] + static_cast<uint32_t>(in.imm))
-    GFP_ALU(Subi, r[in.rs1] - static_cast<uint32_t>(in.imm))
-    GFP_ALU(Andi, r[in.rs1] & static_cast<uint32_t>(in.imm))
-    GFP_ALU(Orri, r[in.rs1] | static_cast<uint32_t>(in.imm))
-    GFP_ALU(Eori, r[in.rs1] ^ static_cast<uint32_t>(in.imm))
-    GFP_ALU(Lsli, r[in.rs1] << (in.imm & 31))
-    GFP_ALU(Lsri, r[in.rs1] >> (in.imm & 31))
-    GFP_ALU(Asri, static_cast<uint32_t>(static_cast<int32_t>(r[in.rs1]) >>
-                                        (in.imm & 31)))
-    GFP_ALU(Movi, static_cast<uint32_t>(in.imm) & 0xffff)
-    GFP_ALU(Movt, (r[in.rd] & 0xffff) |
-                      ((static_cast<uint32_t>(in.imm) & 0xffff) << 16))
-
-    GFP_CASE(Cmpi)
-    {
-        setFlagsSub(r[f->a.rs1], static_cast<uint32_t>(f->a.imm));
-        GFP_RETIRE(kAlu, 1, pc_ + 4);
-        GFP_NEXT;
-    }
-
-    GFP_LD(Ldr, 4, r[in.rs1] + static_cast<uint32_t>(in.imm))
-    GFP_ST(Str, 4, r[in.rs1] + static_cast<uint32_t>(in.imm))
-    GFP_LD(Ldrb, 1, r[in.rs1] + static_cast<uint32_t>(in.imm))
-    GFP_ST(Strb, 1, r[in.rs1] + static_cast<uint32_t>(in.imm))
-    GFP_LD(Ldrh, 2, r[in.rs1] + static_cast<uint32_t>(in.imm))
-    GFP_ST(Strh, 2, r[in.rs1] + static_cast<uint32_t>(in.imm))
-    GFP_LD(Ldrr, 4, r[in.rs1] + r[in.rs2])
-    GFP_ST(Strr, 4, r[in.rs1] + r[in.rs2])
-    GFP_LD(Ldrbr, 1, r[in.rs1] + r[in.rs2])
-    GFP_ST(Strbr, 1, r[in.rs1] + r[in.rs2])
-    GFP_LD(Ldrhr, 2, r[in.rs1] + r[in.rs2])
-    GFP_ST(Strhr, 2, r[in.rs1] + r[in.rs2])
-
-    GFP_BR(B, true)
-    GFP_BR(Beq, flags_.z)
-    GFP_BR(Bne, !flags_.z)
-    GFP_BR(Blt, flags_.n != flags_.v)
-    GFP_BR(Bge, flags_.n == flags_.v)
-    GFP_BR(Bgt, !flags_.z && flags_.n == flags_.v)
-    GFP_BR(Ble, flags_.z || flags_.n != flags_.v)
-    GFP_BR(Blo, !flags_.c)
-    GFP_BR(Bhs, flags_.c)
-    GFP_BR(Bhi, flags_.c && !flags_.z)
-    GFP_BR(Bls, !flags_.c || flags_.z)
-
-    GFP_CASE(Bl)
-    {
-        r[kRegLr] = pc_ + 4;
-        GFP_RETIRE(kBranch, kTakenBranchCycles,
-                   pc_ + 4 + static_cast<uint32_t>(f->a.imm) * 4);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(Jr)
-    {
-        GFP_RETIRE(kBranch, kTakenBranchCycles, r[f->a.rs1]);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(Ret)
-    {
-        GFP_RETIRE(kBranch, kTakenBranchCycles, r[kRegLr]);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(Nop)
-    {
-        GFP_RETIRE(kCtrl, 1, pc_ + 4);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(Halt)
-    {
-        halted_ = true;
-        GFP_RETIRE(kCtrl, 1, pc_ + 4);
-        return;
-    }
-
-    // GF singles only ever dispatch on the GF core (the fusion pass
-    // maps them to hBail on the baseline); a corrupted configuration
-    // register bails so step() raises GfConfigCorrupt.
-    GFP_CASE(GfMuls)
-    {
-        if (!gfau_.configValid())
-            return;
-        const Instr &in = f->a;
-        r[in.rd] = gfau_.simdMult(r[in.rs1], r[in.rs2]);
-        GFP_RETIRE(kGfSimd, 1, pc_ + 4);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(GfInvs)
-    {
-        if (!gfau_.configValid())
-            return;
-        const Instr &in = f->a;
-        r[in.rd] = gfau_.simdInverse(r[in.rs1]);
-        GFP_RETIRE(kGfSimd, 1, pc_ + 4);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(GfSqs)
-    {
-        if (!gfau_.configValid())
-            return;
-        const Instr &in = f->a;
-        r[in.rd] = gfau_.simdSquare(r[in.rs1]);
-        GFP_RETIRE(kGfSimd, 1, pc_ + 4);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(GfPows)
-    {
-        if (!gfau_.configValid())
-            return;
-        const Instr &in = f->a;
-        r[in.rd] = gfau_.simdPower(r[in.rs1], r[in.rs2]);
-        GFP_RETIRE(kGfSimd, 1, pc_ + 4);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(GfAdds)
-    {
-        if (!gfau_.configValid())
-            return;
-        const Instr &in = f->a;
-        r[in.rd] = gfau_.simdAdd(r[in.rs1], r[in.rs2]);
-        GFP_RETIRE(kGfSimd, 1, pc_ + 4);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(Gf32Mul)
-    {
-        if (!gfau_.configValid())
-            return;
-        const Instr &in = f->a;
-        uint32_t hi, lo;
-        gfau_.mult32(r[in.rs1], r[in.rs2], hi, lo);
-        r[in.rd] = hi;
-        r[in.rd2] = lo;
-        GFP_RETIRE(kGf32, 1, pc_ + 4);
-        GFP_NEXT;
-    }
-
-    GFP_CASE(GfCfg)
-    {
-        // Never fused (singleHandler maps it to hBail) — defensive.
-        return;
-    }
-
-#if !GFP_FAST_GOTO
-          default:
-            return;
-        }
-    }
-#endif
-
-#undef GFP_CHECKS
-#undef GFP_CASE
-#undef GFP_NEXT
-#undef GFP_RETIRE
-#undef GFP_ALU
-#undef GFP_LD
-#undef GFP_ST
-#undef GFP_BR
-#undef GFP_CMPBCC_TAIL
 }
 
 Core::StepResult
@@ -1154,29 +422,21 @@ Core::run(uint64_t max_instrs)
         res.trap = trap_;
         return res;
     }
-    // The fast path handles everything it can prove trap-free; anything
-    // else (and any configuration that needs per-instruction hooks)
-    // falls back to single stepping.  A fast-path bail executes exactly
-    // one instruction through step() — raising any architectural trap —
-    // and then re-enters the fast path, so progress is always made.
-    //
-    // Translated dispatch layers the same way once more: the JIT runs
-    // the blocks it compiled and exits at anything it did not (or no
-    // longer may) cover — a gfcfg barrier, a stale translation after a
-    // code-epoch bump, a deopt — and the fused interpreter absorbs
-    // that stretch before the loop offers the JIT the new pc again.
-    const bool fast = dispatch_mode_ != DispatchMode::kPlain &&
-                      predecode_enabled_ && !trace_ && !fault_hook_;
-    const bool translated = fast && translation_ != nullptr &&
-                            dispatch_mode_ == DispatchMode::kTranslated;
+    // Translated dispatch runs the blocks the JIT compiled and exits at
+    // anything it did not (or no longer may) cover — a gfcfg barrier, a
+    // pc that heads no block, a stale translation after a code-epoch
+    // bump, a deopt.  step() then executes exactly one instruction —
+    // raising any architectural trap — before the loop offers the JIT
+    // the new pc again, so progress is always made.  Trace and fault
+    // hooks need every retire, so they keep the whole run on step();
+    // the code watch that keeps a translation honest under SMC comes
+    // with predecode, so the JIT needs that too.
+    const bool translated = dispatch_mode_ == DispatchMode::kTranslated &&
+                            translation_ != nullptr && predecode_enabled_ &&
+                            !trace_ && !fault_hook_;
     while (!halted_) {
         if (translated && requested_trap_ == TrapKind::kNone) {
             translation_->run(*this, res, max_instrs);
-            if (halted_)
-                break;
-        }
-        if (fast) {
-            runFast(res, max_instrs);
             if (halted_)
                 break;
         }

@@ -48,18 +48,17 @@ class Translation;
 enum class CoreKind { kBaseline, kGfProcessor };
 
 /**
- * How Core::run() executes the guest program.  Every mode retires the
+ * How Core::run() executes the guest program.  Both modes retire the
  * same architectural state, cycle accounting and traps — the dispatch
- * differential suite holds all of them bit-identical; they differ only
- * in host speed.
+ * differential suite holds them bit-identical; they differ only in
+ * host speed.
  */
 enum class DispatchMode : uint8_t {
-    kPlain,      ///< single-step interpreter only
-    kFused,      ///< fused threaded interpreter (default)
-    kTranslated, ///< JIT-translated host code, deopt to fused/stepping
+    kPlain,      ///< single-step interpreter only (the reference; default)
+    kTranslated, ///< JIT-translated host code, step() for everything else
 };
 
-/** "plain" / "fused" / "translated". */
+/** "plain" / "translated". */
 const char *dispatchModeName(DispatchMode mode);
 
 /** Parse a --dispatch= value; false (out untouched) when unknown. */
@@ -129,26 +128,19 @@ class Core
     /**
      * Select the execution path run() uses.
      *
-     * kFused (the default) is a threaded interpreter (computed goto
-     * where the compiler supports it, a switch otherwise — see
-     * dispatchKind()) over a fused micro-op stream derived from the
-     * predecoded code.  The fusion pass recognizes hot adjacent pairs —
-     * compare + conditional branch, load feeding a GF op,
-     * address-generation ALU op feeding a load/store — and Itoh-Tsujii
-     * style gfsqs square chains, and retires them in one dispatch.
+     * kPlain (the default) single-steps every instruction.  kTranslated
+     * additionally runs host code installed with setTranslation()
+     * (src/jit) for the blocks it covers; everything else — gfcfg
+     * barriers, deopts, code invalidated by self-modifying stores, pcs
+     * that head no translated block — goes through step().
      *
-     * kTranslated additionally runs host code installed with
-     * setTranslation() (src/jit) for the program regions it covers,
-     * deopting to the fused interpreter for everything else.
-     *
-     * All modes are purely host-side optimizations: cycle accounting,
+     * Translation is purely a host-side optimization: cycle accounting,
      * statistics, trap behavior and code-watch-epoch invalidation are
-     * identical to single stepping
-     * (tests/test_dispatch_differential.cc proves it).  run() only
-     * leaves the stepping path when predecode is enabled and no trace
-     * or fault hook is attached; any potentially-trapping situation
-     * bails out, commits nothing, and re-executes through step() so
-     * the architectural trap is raised exactly.
+     * identical to single stepping (tests/test_dispatch_differential.cc
+     * proves it).  run() only enters translated code when predecode is
+     * enabled and no trace or fault hook is attached; any potentially
+     * trapping situation deopts, commits nothing, and re-executes
+     * through step() so the architectural trap is raised exactly.
      */
     void setDispatchMode(DispatchMode mode) { dispatch_mode_ = mode; }
     DispatchMode dispatchMode() const { return dispatch_mode_; }
@@ -156,23 +148,12 @@ class Core
     /**
      * Install the host-code translation kTranslated dispatch runs
      * (nullptr uninstalls).  The translation is consulted only when
-     * the dispatch mode is kTranslated and the fast path is usable at
-     * all (predecode on, no trace/fault hook); it must uphold the
-     * bail-before-commit contract (see sim/translation.h).
+     * the dispatch mode is kTranslated and predecode is on with no
+     * trace/fault hook attached; it must uphold the bail-before-commit
+     * contract (see sim/translation.h).
      */
     void setTranslation(std::unique_ptr<Translation> translation);
     Translation *translation() const { return translation_.get(); }
-
-    /** Inner-interpreter flavor this build uses: "computed-goto" or
-     *  "switch" (CMake option GFP_THREADED_DISPATCH). */
-    static const char *dispatchKind();
-
-    /**
-     * One line per fused region of the current micro-op stream, e.g.
-     * "0x0040 cmpi+bcc len=2" — consumed by tests and by the gfp-lint
-     * --dump-fused gate.  Empty when predecode is disabled.
-     */
-    std::vector<std::string> fusionDump() const;
 
     /**
      * Run until HALT, a trap, or until @p max_instrs instructions
@@ -194,8 +175,8 @@ class Core
      * profile receives one record per retired instruction with the same
      * class/cycle pair CycleStats sees, on *both* execution paths —
      * unlike a trace hook, attaching a profile does not force the
-     * stepping path, and fused micro-ops are de-aggregated to their
-     * constituent PCs so plain and fused profiles match exactly.  The
+     * stepping path, and translated blocks are de-aggregated to their
+     * constituent PCs so plain and translated profiles match exactly.  The
      * caller owns the profile and must keep it alive while attached.
      * Detached cost is one null check per retire.
      */
@@ -236,8 +217,6 @@ class Core
     unsigned execute(const Instr &in);
     StepResult takeTrap(TrapKind kind, uint32_t addr);
     void rebuildPredecode();
-    void rebuildFusion();
-    void runFast(RunResult &res, uint64_t max_instrs);
 
     /** One predecoded code word; undecodable words stay invalid and
      *  divert to the slow fetch path for the architectural trap.  The
@@ -248,22 +227,6 @@ class Core
         Instr in;
         InstrClass cls = InstrClass::kAlu;
         bool valid = false;
-    };
-
-    /**
-     * One fused micro-op per code word: the best fusion *starting* at
-     * that word, so branching into the middle of a fused pair simply
-     * dispatches the inner instruction's own entry.  handler indexes
-     * the fast interpreter's dispatch table (an enum private to
-     * cpu.cc; 0 always means "divert to step()"), len is the number of
-     * architectural instructions the handler retires, and a/b hold the
-     * decoded head/tail instructions.
-     */
-    struct FusedOp
-    {
-        uint16_t handler = 0; ///< 0 == bail to the slow path
-        uint8_t len = 1;
-        Instr a, b;
     };
 
     Memory &mem_;
@@ -283,12 +246,11 @@ class Core
     FaultHook fault_hook_;
 
     bool predecode_enabled_ = false;
-    DispatchMode dispatch_mode_ = DispatchMode::kFused;
+    DispatchMode dispatch_mode_ = DispatchMode::kPlain;
     std::unique_ptr<Translation> translation_;
     uint32_t predecode_limit_ = 0;        // byte limit of the code region
     uint64_t predecode_epoch_ = 0;        // memory code epoch at build
     std::vector<PredecodedWord> icache_;  // one entry per code word
-    std::vector<FusedOp> fused_;          // one entry per code word
 };
 
 } // namespace gfp

@@ -54,7 +54,7 @@ Machine::fullReset()
     // Restore the post-construction image in one memcpy rather than
     // zero-fill + per-word program reload.  When the previous job left
     // the program text untouched, the code epoch is preserved and the
-    // core's predecoded (and fused) instruction stream stays valid —
+    // core's predecoded instructions and JIT translation stay valid —
     // the batch engine's per-job reset no longer rebuilds it.
     mem_.restore(pristine_);
     if (core_->kind() == CoreKind::kGfProcessor)

@@ -105,52 +105,6 @@ class Memory
         touch(0, static_cast<unsigned>(bytes_.size()));
     }
 
-    /**
-     * Unchecked little-endian accessors for the core's fast dispatch
-     * path, which bounds-checks an access *before* committing to it so
-     * it can divert to the trap-exact slow path without the throw/catch
-     * machinery.  @p bytes must be 1, 2 or 4 and addr+bytes must be in
-     * range.  storeFast still advances the code epoch for writes into
-     * the watched region, so self-modifying stores de-fuse exactly.
-     */
-    uint32_t
-    loadFast(uint32_t addr, unsigned bytes) const
-    {
-        const uint8_t *p = bytes_.data() + addr;
-        switch (bytes) {
-          case 1:
-            return p[0];
-          case 2:
-            return static_cast<uint32_t>(p[0]) |
-                   (static_cast<uint32_t>(p[1]) << 8);
-          default:
-            return static_cast<uint32_t>(p[0]) |
-                   (static_cast<uint32_t>(p[1]) << 8) |
-                   (static_cast<uint32_t>(p[2]) << 16) |
-                   (static_cast<uint32_t>(p[3]) << 24);
-        }
-    }
-
-    void
-    storeFast(uint32_t addr, unsigned bytes, uint32_t value)
-    {
-        uint8_t *p = bytes_.data() + addr;
-        switch (bytes) {
-          case 1:
-            p[0] = static_cast<uint8_t>(value);
-            break;
-          case 2:
-            p[0] = static_cast<uint8_t>(value);
-            p[1] = static_cast<uint8_t>(value >> 8);
-            break;
-          default:
-            for (unsigned i = 0; i < 4; ++i)
-                p[i] = static_cast<uint8_t>(value >> (8 * i));
-            break;
-        }
-        touch(addr, bytes);
-    }
-
     /** A copy of the full contents, for later restore(). */
     std::vector<uint8_t> snapshot() const { return bytes_; }
 
@@ -162,7 +116,7 @@ class Memory
      * makes the batch engine's per-job recycling cheap).  The code
      * epoch is bumped only when the watched code region actually
      * differs, so restoring an image whose program text is unchanged
-     * keeps predecoded (and fused) instructions valid.
+     * keeps predecoded instructions and JIT translations valid.
      */
     void restore(const std::vector<uint8_t> &image);
 

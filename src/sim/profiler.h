@@ -5,11 +5,11 @@
  * A PcProfile attaches to a Core with Core::setProfile() and
  * accumulates, for every retired instruction, its pc, opcode class and
  * cycle cost.  Both execution paths feed it with identical records: the
- * stepping path records at retire in Core::step(), and the fused
- * threaded-dispatch path de-aggregates each fused micro-op to its
- * constituent PCs (head at pc, tail at pc+4, square chains at pc+4k)
- * with the same class/cycle pairs stepping would use — so a plain and a
- * fused run of the same program produce bit-identical profiles
+ * stepping path records at retire in Core::step(), and translated
+ * dispatch (src/jit) replays each executed block's instructions at
+ * their own PCs from the block counters, with the same class/cycle
+ * pairs stepping would use — so a plain and a translated run of the
+ * same program produce bit-identical profiles
  * (tests/test_profiler.cc holds this as an invariant).
  *
  * Attribution is exact, not sampled.  Overhead when detached is a

@@ -19,8 +19,8 @@
  * clock: 1 cycle = 0.01 us, so span durations read directly as guest
  * time at the published operating point.
  *
- * Attaching a trace hook forces the core onto the stepping path (the
- * fused fast path requires no per-retire hooks), so tracing costs
+ * Attaching a trace hook forces the core onto the stepping path (translated
+ * code has no per-retire hooks), so tracing costs
  * throughput — it is a debugging/visualization mode, not a profiling
  * mode; use PcProfile for overhead-sensitive attribution.
  */

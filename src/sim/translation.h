@@ -6,13 +6,11 @@
  * stays ignorant of how it was produced: run() merely offers it the
  * current pc each time around the dispatch loop (kTranslated mode only)
  * and the translation either makes forward progress or declines, in
- * which case the fused interpreter and the stepping path take over for
- * that stretch — gfcfg barriers, untranslated code, stale translations
- * after a code-epoch bump.
+ * which case step() executes the next instruction — gfcfg barriers,
+ * untranslated code, stale translations after a code-epoch bump.
  *
- * Contract (the same bail-before-commit discipline the fused
- * interpreter follows; tests/test_dispatch_differential.cc and
- * tests/test_jit.cc hold it):
+ * Contract (bail before commit; tests/test_dispatch_differential.cc
+ * and tests/test_jit.cc hold it):
  *
  *  - Architectural state after run() returns — registers, flags, pc,
  *    memory, CycleStats, per-PC profile, halted — must be exactly what

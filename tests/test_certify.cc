@@ -19,19 +19,20 @@
 #include "analysis/lint.h"
 #include "analysis/report_format.h"
 #include "isa/assembler.h"
+#include "jit/core_translation.h"
 #include "kernels/kernel_catalog.h"
 #include "sim/machine.h"
 
 namespace gfp {
 namespace {
 
-enum class Dispatch { kFused, kPlain, kNoPredecode };
+enum class Dispatch { kTranslated, kPlain, kNoPredecode };
 
 const char *
 dispatchName(Dispatch d)
 {
     switch (d) {
-    case Dispatch::kFused: return "fused";
+    case Dispatch::kTranslated: return "translated";
     case Dispatch::kPlain: return "plain";
     case Dispatch::kNoPredecode: return "nopredecode";
     }
@@ -49,8 +50,8 @@ measuredRun(const std::string &source, CoreKind kind, Dispatch d)
 {
     MeasuredRun out;
     Machine m(source, kind);
-    if (d == Dispatch::kPlain)
-        m.core().setDispatchMode(DispatchMode::kPlain);
+    if (d == Dispatch::kTranslated)
+        jit::installTranslation(m);
     if (d == Dispatch::kNoPredecode)
         m.core().disablePredecode();
     out.run = m.runToHalt(500'000'000);
@@ -84,7 +85,7 @@ TEST(Certify, CatalogWcetBoundsSoundInAllDispatchModes)
         CoreKind kind = k.name.find("baseline") != std::string::npos
                             ? CoreKind::kBaseline
                             : CoreKind::kGfProcessor;
-        for (Dispatch d : {Dispatch::kFused, Dispatch::kPlain,
+        for (Dispatch d : {Dispatch::kTranslated, Dispatch::kPlain,
                            Dispatch::kNoPredecode}) {
             SCOPED_TRACE(k.name + " / " + dispatchName(d));
             MeasuredRun r = measuredRun(k.source, kind, d);
@@ -117,7 +118,8 @@ TEST(Certify, CatalogTrapFreedomFloor)
             CoreKind kind = k.name.find("baseline") != std::string::npos
                                 ? CoreKind::kBaseline
                                 : CoreKind::kGfProcessor;
-            MeasuredRun r = measuredRun(k.source, kind, Dispatch::kFused);
+            MeasuredRun r =
+                measuredRun(k.source, kind, Dispatch::kTranslated);
             EXPECT_TRUE(r.run.ok());
         } else {
             EXPECT_FALSE(cert.caveats.empty())

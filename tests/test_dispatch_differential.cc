@@ -1,13 +1,12 @@
 /**
  * @file
- * Differential proof that every accelerated dispatch mode is bit-exact
- * with the plain single-stepping interpreter: the fused threaded
- * dispatcher AND the template-JIT translated mode (native backend when
- * available, plus the portable threaded-code backend forced
- * explicitly).  Every catalog kernel, seeded random programs biased
- * toward the fusion patterns, branch-into-fused-pair corners,
+ * Differential proof that translated dispatch is bit-exact with the
+ * plain single-stepping interpreter, on the native JIT backend when
+ * the build has one and on the portable threaded-code backend forced
+ * explicitly.  Every catalog kernel, seeded random programs biased
+ * toward hot instruction pairs, branch-into-block corners,
  * self-modifying code, and SEU bit flips all run through each
- * accelerated core and a slow core and must produce identical
+ * translated core and a plain core and must produce identical
  * registers, memory, traps, and full CycleStats.
  */
 
@@ -70,45 +69,42 @@ expectRunEq(const RunResult &a, const RunResult &b, const std::string &what)
     expectStatsEq(a.stats, b.stats, what);
 }
 
-/** Translated-mode variants exercised by the differential legs: the
- *  auto-selected backend (native where GFP_JIT built one, threaded
- *  otherwise) and the portable threaded backend forced explicitly, so
- *  the block-IR reference path gets coverage even on native hosts. */
-jit::TranslateOptions
-translateOptsFor(jit::Backend backend, size_t mem_bytes,
-                 uint64_t max_instrs)
+/** The translated legs every differential workload runs against the
+ *  plain interpreter: the auto-selected backend (native where GFP_JIT
+ *  built one, threaded otherwise) and the portable threaded backend
+ *  forced explicitly, so the block-IR reference path gets coverage
+ *  even on native hosts. */
+struct Leg
 {
-    jit::TranslateOptions topts;
-    // Eager policy: the hostile/random programs here would never
-    // certify, but deopt-to-interpreter must still keep them bit-exact.
-    topts.policy = jit::TranslatePolicy::kEager;
-    topts.backend = backend;
-    topts.mem_bytes = mem_bytes;
-    topts.watchdog_max_instrs = max_instrs;
-    return topts;
-}
+    jit::Backend backend;
+    const char *tag;
+};
 
-/** A raw word program on its own memory + core, no Machine wrapper —
- *  lets the tests control every code byte (invalid words included). */
+const Leg kLegs[] = {
+    {jit::Backend::kAuto, "translated"},
+    {jit::Backend::kThreaded, "translated-threaded"},
+};
+
+/** A raw word program on its own 16 KiB memory + core, no Machine
+ *  wrapper — lets the tests control every code byte (invalid words
+ *  included).  Plain dispatch, or translated on @p leg's backend. */
 struct Rig
 {
     Memory mem;
     Core core;
 
     Rig(const std::vector<uint32_t> &words, CoreKind kind,
-        DispatchMode mode, size_t mem_bytes = 16 * 1024,
-        jit::Backend backend = jit::Backend::kAuto)
-        : mem(mem_bytes), core(mem, kind)
+        const Leg *leg = nullptr)
+        : mem(16 * 1024), core(mem, kind)
     {
         for (size_t i = 0; i < words.size(); ++i)
             mem.write32(static_cast<uint32_t>(4 * i), words[i]);
-        core.setDispatchMode(mode);
-        if (mode == DispatchMode::kTranslated) {
+        if (leg != nullptr) {
             Program prog;
             prog.code = words;
-            core.setTranslation(jit::makeCoreTranslation(jit::translate(
-                prog, kind,
-                translateOptsFor(backend, mem_bytes, 500'000'000))));
+            core.setTranslation(jit::makeCoreTranslation(
+                jit::translate(prog, kind, {.backend = leg->backend})));
+            core.setDispatchMode(DispatchMode::kTranslated);
         }
         core.enablePredecode(static_cast<uint32_t>(4 * words.size()));
     }
@@ -126,32 +122,16 @@ expectCoresEq(Rig &fast, Rig &slow, const std::string &what)
     expectStatsEq(fast.core.stats(), slow.core.stats(), what);
 }
 
-/** The accelerated legs every differential workload runs against the
- *  plain interpreter: mode + (for translated) backend + a tag. */
-struct Leg
-{
-    DispatchMode mode;
-    jit::Backend backend;
-    const char *tag;
-};
-
-const Leg kLegs[] = {
-    {DispatchMode::kFused, jit::Backend::kAuto, "fused"},
-    {DispatchMode::kTranslated, jit::Backend::kAuto, "translated"},
-    {DispatchMode::kTranslated, jit::Backend::kThreaded,
-     "translated-threaded"},
-};
-
 /** Run the same word program through every dispatcher and compare
  *  everything: end state, trap, per-class statistics. */
 void
 runDifferential(const std::vector<uint32_t> &words, CoreKind kind,
                 uint64_t max_instrs, const std::string &what)
 {
-    Rig slow(words, kind, DispatchMode::kPlain);
+    Rig slow(words, kind);
     RunResult rs = slow.core.run(max_instrs);
     for (const Leg &leg : kLegs) {
-        Rig fast(words, kind, leg.mode, 16 * 1024, leg.backend);
+        Rig fast(words, kind, &leg);
         RunResult rf = fast.core.run(max_instrs);
         const std::string tagged = what + " [" + leg.tag + "]";
         expectRunEq(rf, rs, tagged);
@@ -189,15 +169,7 @@ TEST(DispatchDifferential, AllCatalogKernelsMatchPlainStepping)
         RunResult rs = slow.runToHalt(5'000'000);
         for (const Leg &leg : kLegs) {
             Machine fast(k.source, kind);
-            fast.core().setDispatchMode(leg.mode);
-            ASSERT_EQ(fast.core().dispatchMode(), leg.mode);
-            if (leg.mode == DispatchMode::kTranslated)
-                fast.core().setTranslation(
-                    jit::makeCoreTranslation(jit::translate(
-                        fast.program(), kind,
-                        translateOptsFor(leg.backend,
-                                         fast.memory().size(),
-                                         5'000'000))));
+            jit::installTranslation(fast, {.backend = leg.backend});
             RunResult rf = fast.runToHalt(5'000'000);
             const std::string what = k.name + " [" + leg.tag + "]";
             expectRunEq(rf, rs, what);
@@ -225,6 +197,7 @@ TEST(DispatchDifferential, FastPathMatchesNoPredecodeReference)
         ASSERT_FALSE(src.empty()) << name;
 
         Machine fast(src, CoreKind::kGfProcessor);
+        jit::installTranslation(fast);
         Machine ref(src, CoreKind::kGfProcessor);
         ref.core().disablePredecode();
         RunResult rf = fast.runToHalt(5'000'000);
@@ -238,11 +211,11 @@ TEST(DispatchDifferential, FastPathMatchesNoPredecodeReference)
 // ----------------------- seeded random programs ----------------------
 
 /**
- * Random programs biased toward the fusion patterns (cmp+bcc pairs,
- * movi feeding loads/stores, gfsqs chains, loads feeding GF ops) plus
- * hazards: branches into the middle of would-be pairs, out-of-range
- * accesses, undecodable words, runaway loops (equal watchdogs), and
- * pc running off the end of the program.
+ * Random programs biased toward hot instruction pairs (cmp+bcc, movi
+ * feeding loads/stores, gfsqs chains, loads feeding GF ops) plus
+ * hazards: branches into the middle of blocks, out-of-range accesses,
+ * undecodable words, runaway loops (equal watchdogs), and pc running
+ * off the end of the program.
  */
 std::vector<uint32_t>
 randomProgram(uint64_t seed, CoreKind kind, unsigned n_words)
@@ -278,7 +251,7 @@ randomProgram(uint64_t seed, CoreKind kind, unsigned n_words)
                          static_cast<int32_t>(rng.below(65536))));
             break;
           }
-          case 3: { // address-gen ALU feeding a load/store (fusable)
+          case 3: { // address-gen ALU feeding a load/store
             unsigned rb = reg();
             bool in_range = rng.chance(0.8);
             emit(enc(Op::kMovi, rb, 0, 0,
@@ -300,7 +273,7 @@ randomProgram(uint64_t seed, CoreKind kind, unsigned n_words)
             emit(enc(mems[rng.below(6)], reg(), rb, ri));
             break;
           }
-          case 5: { // compare + conditional branch (fusable), forward
+          case 5: { // compare + conditional branch, forward
             Op bccs[] = {Op::kBeq, Op::kBne, Op::kBlt, Op::kBge,
                          Op::kBgt, Op::kBle, Op::kBlo, Op::kBhs,
                          Op::kBhi, Op::kBls};
@@ -322,7 +295,7 @@ randomProgram(uint64_t seed, CoreKind kind, unsigned n_words)
             }
             break;
           }
-          case 7: { // SIMD GF op, possibly behind a load (fusable)
+          case 7: { // SIMD GF op, possibly behind a load
             Op gfs[] = {Op::kGfMuls, Op::kGfInvs, Op::kGfSqs,
                         Op::kGfPows, Op::kGfAdds};
             unsigned rd = reg();
@@ -335,7 +308,7 @@ randomProgram(uint64_t seed, CoreKind kind, unsigned n_words)
             emit(enc(gfs[rng.below(5)], reg(), rd, reg()));
             break;
           }
-          case 8: { // gfsqs square chain (fusable run)
+          case 8: { // gfsqs square chain
             unsigned rd = reg(), rs = reg();
             emit(enc(Op::kGfSqs, rd, rs));
             unsigned run = 1 + static_cast<unsigned>(rng.below(6));
@@ -386,33 +359,38 @@ TEST(DispatchDifferential, SeededRandomProgramsBaseline)
 
 TEST(DispatchDifferential, BranchIntoMiddleOfFusedPair)
 {
-    // Word 1+2 fuse as cmpi+beq.  Word 4 later branches straight to
-    // word 2 (the branch half) with *different* flags, so the fast path
-    // must dispatch word 2's own single-instruction entry.
+    // Words 1+2 form a cmpi+beq pair inside the entry block.  Word 4
+    // later branches straight to word 2 (the branch half) with
+    // *different* flags, so the translated path must enter at word 2,
+    // a block head of its own.
     std::vector<uint32_t> words = {
         enc(Op::kMovi, 0, 0, 0, 7), // 0
-        enc(Op::kCmpi, 0, 0, 0, 9), // 1  flags != (fused head)
+        enc(Op::kCmpi, 0, 0, 0, 9), // 1  flags != (pair head)
         enc(Op::kBeq, 0, 0, 0, 3),  // 2  not taken; later target
         enc(Op::kCmpi, 0, 0, 0, 7), // 3  flags ==
-        enc(Op::kB, 0, 0, 0, -4),   // 4  jump back to word 2
+        enc(Op::kB, 0, 0, 0, -3),   // 4  jump back to word 2
         enc(Op::kHalt),             // 5  (unreachable)
         enc(Op::kHalt),             // 6  beq target on second visit
     };
     runDifferential(words, CoreKind::kGfProcessor, 1'000,
-                    "branch into fused pair");
+                    "branch into cmp+bcc pair");
+
+    // The taken beq on the second visit is what halts the program.
+    Rig plain(words, CoreKind::kGfProcessor);
+    EXPECT_TRUE(plain.core.run(1'000).halted);
 }
 
 TEST(DispatchDifferential, SelfModifyingStoreDefusesExactly)
 {
     // The program overwrites its own infinite loop with a halt through
-    // a *fused* movi+str pair; the store must invalidate the fused
-    // stream on both paths before word 6 executes again.
+    // a movi+str pair; the store must invalidate the translation (and
+    // the predecoded words) before word 6 executes again.
     const uint32_t haltw = enc(Op::kHalt);
     std::vector<uint32_t> words = {
         enc(Op::kMovi, 1, 0, 0, static_cast<int32_t>(haltw & 0xffff)),
         enc(Op::kMovt, 1, 0, 0, static_cast<int32_t>(haltw >> 16)),
         enc(Op::kMovi, 2, 0, 0, 24), // address of word 6
-        enc(Op::kStr, 1, 2, 0, 0),   // fuses as alu+st with word 2
+        enc(Op::kStr, 1, 2, 0, 0),   // store into the code region
         enc(Op::kNop),
         enc(Op::kNop),
         enc(Op::kB, 0, 0, 0, -1), // infinite loop unless overwritten
@@ -424,8 +402,7 @@ TEST(DispatchDifferential, SelfModifyingStoreDefusesExactly)
     // watchdog) on every accelerated path: the store replaced the loop
     // before it spun.
     for (const Leg &leg : kLegs) {
-        Rig rig(words, CoreKind::kGfProcessor, leg.mode, 16 * 1024,
-                leg.backend);
+        Rig rig(words, CoreKind::kGfProcessor, &leg);
         RunResult r = rig.core.run(1'000);
         EXPECT_TRUE(r.halted) << leg.tag << ": " << r.trap.describe();
     }
@@ -434,8 +411,8 @@ TEST(DispatchDifferential, SelfModifyingStoreDefusesExactly)
 TEST(DispatchDifferential, SeuFlipInCodeRegionDefusesExactly)
 {
     // Pause both cores mid-run with an equal watchdog, deliver the
-    // same SEU into an instruction word, resume: the stale fused
-    // stream must be invalidated identically on both paths.
+    // same SEU into an instruction word, resume: the stale translation
+    // must be refused and the flipped word executed identically.
     std::vector<uint32_t> words = {
         enc(Op::kMovi, 3, 0, 0, 5), // 0
         enc(Op::kNop),              // 1
@@ -446,10 +423,8 @@ TEST(DispatchDifferential, SeuFlipInCodeRegionDefusesExactly)
     };
     for (unsigned bit : {0u, 5u, 26u}) { // imm, rd2 field, opcode bits
         for (const Leg &leg : kLegs) {
-            Rig fast(words, CoreKind::kGfProcessor, leg.mode, 16 * 1024,
-                     leg.backend);
-            Rig slow(words, CoreKind::kGfProcessor,
-                     DispatchMode::kPlain);
+            Rig fast(words, CoreKind::kGfProcessor, &leg);
+            Rig slow(words, CoreKind::kGfProcessor);
             RunResult pf = fast.core.run(2);
             RunResult ps = slow.core.run(2);
             ASSERT_EQ(pf.trap.kind, TrapKind::kWatchdog);
@@ -477,9 +452,8 @@ TEST(DispatchDifferential, SeuMakesWordUndecodable)
     std::vector<uint32_t> words = {
         enc(Op::kNop), enc(Op::kNop), enc(Op::kNop), enc(Op::kHalt)};
     for (const Leg &leg : kLegs) {
-        Rig fast(words, CoreKind::kGfProcessor, leg.mode, 16 * 1024,
-                 leg.backend);
-        Rig slow(words, CoreKind::kGfProcessor, DispatchMode::kPlain);
+        Rig fast(words, CoreKind::kGfProcessor, &leg);
+        Rig slow(words, CoreKind::kGfProcessor);
         (void)fast.core.run(1);
         (void)slow.core.run(1);
         fast.core.injectFault(FaultTarget::kDataMemory, 4 * 2 + 3, 7);
@@ -496,8 +470,8 @@ TEST(DispatchDifferential, SeuMakesWordUndecodable)
 
 TEST(DispatchDifferential, ConfigCorruptionTrapsIdentically)
 {
-    // A config-register SEU before a GF instruction: the fast path must
-    // bail (committing nothing) and deliver the identical
+    // A config-register SEU before a GF instruction: translated code
+    // must bail (committing nothing) and deliver the identical
     // kGfConfigCorrupt trap through step().
     std::vector<uint32_t> words = {
         enc(Op::kMovi, 1, 0, 0, 0x1234), // 0
@@ -506,9 +480,8 @@ TEST(DispatchDifferential, ConfigCorruptionTrapsIdentically)
         enc(Op::kHalt),                  // 3
     };
     for (const Leg &leg : kLegs) {
-        Rig fast(words, CoreKind::kGfProcessor, leg.mode, 16 * 1024,
-                 leg.backend);
-        Rig slow(words, CoreKind::kGfProcessor, DispatchMode::kPlain);
+        Rig fast(words, CoreKind::kGfProcessor, &leg);
+        Rig slow(words, CoreKind::kGfProcessor);
         (void)fast.core.run(1);
         (void)slow.core.run(1);
         // m=8, flipping bit 57 yields m=10: invalid field width.
@@ -529,11 +502,11 @@ TEST(DispatchDifferential, RunawayLoopWatchdogsIdentically)
     std::vector<uint32_t> words = {
         enc(Op::kMovi, 0, 0, 0, 0),  // 0
         enc(Op::kAddi, 0, 0, 0, 1),  // 1
-        enc(Op::kCmpi, 0, 0, 0, 50), // 2  fused with 3
+        enc(Op::kCmpi, 0, 0, 0, 50), // 2  pairs with 3
         enc(Op::kBne, 0, 0, 0, -4),  // 3  loop back to word 1
         enc(Op::kB, 0, 0, 0, -1),    // 4  spin forever
     };
-    // Cut the budget at every point of a fused pair's retirement.
+    // Cut the budget at every point of a block's retirement.
     for (uint64_t cap : {1u, 2u, 3u, 100u, 151u, 152u, 153u, 400u})
         runDifferential(words, CoreKind::kGfProcessor, cap,
                         "watchdog cap " + std::to_string(cap));
@@ -550,43 +523,6 @@ TEST(DispatchDifferential, PcRunsOffIntoDataAndOutOfMemory)
     };
     runDifferential(words, CoreKind::kGfProcessor, 100'000,
                     "pc into data");
-}
-
-// --------------------- introspection sanity checks -------------------
-
-TEST(DispatchIntrospection, DispatchKindIsKnown)
-{
-    std::string kind = Core::dispatchKind();
-    EXPECT_TRUE(kind == "computed-goto" || kind == "switch") << kind;
-}
-
-TEST(DispatchIntrospection, FusionDumpListsFusedRegions)
-{
-    std::vector<uint32_t> words = {
-        enc(Op::kMovi, 0, 0, 0, 1),  // 0: fuses with the ldr below
-        enc(Op::kLdr, 1, 0, 0, 64),  // 1
-        enc(Op::kCmpi, 1, 0, 0, 3),  // 2: fuses with the bne
-        enc(Op::kBne, 0, 0, 0, 1),   // 3
-        enc(Op::kGfSqs, 2, 1),       // 4: head of a square chain
-        enc(Op::kGfSqs, 2, 2),       // 5
-        enc(Op::kGfSqs, 2, 2),       // 6
-        enc(Op::kHalt),              // 7
-    };
-    Rig rig(words, CoreKind::kGfProcessor, DispatchMode::kFused);
-    auto dump = rig.core.fusionDump();
-    ASSERT_FALSE(dump.empty());
-    std::string all;
-    for (const auto &line : dump) {
-        EXPECT_EQ(line.substr(0, 2), "0x") << line;
-        all += line + "\n";
-    }
-    EXPECT_NE(all.find("alu+ld"), std::string::npos) << all;
-    EXPECT_NE(all.find("cmpi+bcc"), std::string::npos) << all;
-    EXPECT_NE(all.find("gfsqs-chain len=3"), std::string::npos) << all;
-
-    // Disabling predecode clears the fused stream.
-    rig.core.disablePredecode();
-    EXPECT_TRUE(rig.core.fusionDump().empty());
 }
 
 } // namespace

@@ -11,11 +11,14 @@
  *  - a multi-producer property test: random interleavings of
  *    submitBatch() from several threads preserve exactly-once
  *    execution — no lost and no duplicated JobResult — which the TSan
- *    CI job runs under ThreadSanitizer.
+ *    CI job runs under ThreadSanitizer;
+ *  - a property test that pendingJobs(), sampled from a racing thread,
+ *    never exceeds the jobs submitted but not yet claimed.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -121,14 +124,14 @@ configKillEvent()
 TEST(EngineSched, SkewedCostsAreRebalancedByStealing)
 {
     // 64 jobs, sliced 16 per shard at 4 workers.  Job 0 costs ~250x
-    // its neighbors (tens of milliseconds — several OS timeslices even
-    // on a single-CPU host, so the peer workers are guaranteed to run
-    // while it executes), which pins its worker down while the rest of
-    // its shard must drain over the steal path.  Jobs 8..15 land in
-    // the back (stolen-first) half of that shard; three of them are
-    // poisoned with a tiny watchdog so trapping jobs travel the steal
-    // path too.
-    constexpr uint32_t kCheapReps = 8000;
+    // its neighbors (about 100 ms translated — many OS timeslices even
+    // on a loaded single-CPU host, so the peer workers are guaranteed
+    // to run while it executes), which pins its worker down while the
+    // rest of its shard must drain over the steal path.  Jobs 8..15
+    // land in the back (stolen-first) half of that shard; three of
+    // them are poisoned with a tiny watchdog so trapping jobs travel
+    // the steal path too.
+    constexpr uint32_t kCheapReps = 64000;
     constexpr uint32_t kHeavyReps = 250 * kCheapReps;
     std::vector<Job> jobs;
     jobs.push_back(spinJob(kHeavyReps, 0xdead0001));
@@ -361,6 +364,65 @@ TEST(EngineSchedProperty, ConcurrentProducersExecuteExactlyOnce)
         EXPECT_EQ(m.gauge("shard" + std::to_string(w) + "_queue_depth"),
                   0.0)
             << w;
+}
+
+/**
+ * pendingJobs() is the admission signal gfp-serve compares with its
+ * watermark, so it must never overstate the queue: sampled from a
+ * racing thread, it stays at or below the jobs submitted but not yet
+ * claimed.  Producers count a job as submitted before submitBatch()
+ * and as claimed once wait() has returned it (fewer than the real
+ * claims), and the sampler reads the claimed count before
+ * pendingJobs() and the submitted count after it, so the bound holds
+ * without locks.  Closed-loop producers of one- to three-job batches
+ * keep workers awake while the next batch is pushed — the window in
+ * which a worker can claim a job before its count is published.
+ */
+TEST(EngineSchedProperty, PendingNeverExceedsUnclaimedJobs)
+{
+    BatchEngine eng(kSpinKernel, CoreKind::kGfProcessor,
+                    BatchEngine::Options{.threads = 2});
+    std::atomic<uint64_t> submitted{0}, redeemed{0};
+    std::atomic<bool> done{false};
+    uint64_t samples = 0, violations = 0, worst = 0;
+
+    std::thread sampler([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            const uint64_t r = redeemed.load(std::memory_order_acquire);
+            const uint64_t p = eng.pendingJobs();
+            const uint64_t s = submitted.load(std::memory_order_acquire);
+            ++samples;
+            if (p > s - r) {
+                ++violations;
+                worst = std::max<uint64_t>(worst, p);
+            }
+        }
+    });
+
+    constexpr unsigned kProducers = 2;
+    constexpr unsigned kBatchesPerProducer = 1500;
+    auto producer = [&](unsigned p) {
+        for (unsigned b = 0; b < kBatchesPerProducer; ++b) {
+            std::vector<Job> jobs;
+            const unsigned n = 1 + b % 3;
+            for (unsigned j = 0; j < n; ++j)
+                jobs.push_back(spinJob(1 + (b + j) % 7, 1000 * p + b));
+            submitted.fetch_add(n, std::memory_order_acq_rel);
+            const auto results = eng.wait(eng.submitBatch(std::move(jobs)));
+            redeemed.fetch_add(results.size(), std::memory_order_acq_rel);
+        }
+    };
+    std::vector<std::thread> producers;
+    for (unsigned p = 0; p < kProducers; ++p)
+        producers.emplace_back(producer, p);
+    for (auto &t : producers)
+        t.join();
+    done.store(true, std::memory_order_release);
+    sampler.join();
+
+    EXPECT_GT(samples, 0u);
+    EXPECT_EQ(violations, 0u) << "pendingJobs() read as high as " << worst;
+    EXPECT_EQ(eng.pendingJobs(), 0u);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability layer tests: per-PC profiler attribution invariants
- * across all three dispatch modes (fused, plain, no-predecode) over
+ * across all three dispatch modes (translated, plain, no-predecode) over
  * the full kernel catalog, attribution under traps and injected SEUs,
  * the CycleStats class-partition contract, Chrome trace_event export
  * and its structural validator, engine run metrics, and the 28nm
@@ -21,6 +21,7 @@
 #include "engine/batch_engine.h"
 #include "engine/metrics.h"
 #include "hwmodel/energy_model.h"
+#include "jit/core_translation.h"
 #include "kernels/batch_kernels.h"
 #include "kernels/coding_kernels.h"
 #include "kernels/kernel_catalog.h"
@@ -32,7 +33,7 @@
 namespace gfp {
 namespace {
 
-enum class Dispatch { kFused, kPlain, kNoPredecode };
+enum class Dispatch { kTranslated, kPlain, kNoPredecode };
 
 std::vector<uint8_t>
 toBytes(const std::vector<GFElem> &symbols)
@@ -57,7 +58,7 @@ const char *
 dispatchName(Dispatch d)
 {
     switch (d) {
-    case Dispatch::kFused: return "fused";
+    case Dispatch::kTranslated: return "translated";
     case Dispatch::kPlain: return "plain";
     case Dispatch::kNoPredecode: return "nopredecode";
     }
@@ -78,8 +79,8 @@ profiledRun(const std::string &source, CoreKind kind, Dispatch d)
 {
     ProfiledRun out;
     Machine m(source, kind);
-    if (d == Dispatch::kPlain)
-        m.core().setDispatchMode(DispatchMode::kPlain);
+    if (d == Dispatch::kTranslated)
+        jit::installTranslation(m);
     if (d == Dispatch::kNoPredecode)
         m.core().disablePredecode();
     out.profile.configure(
@@ -100,7 +101,7 @@ TEST(Profiler, CatalogAttributionBalancesInAllDispatchModes)
         CoreKind kind = k.name.find("baseline") != std::string::npos
                             ? CoreKind::kBaseline
                             : CoreKind::kGfProcessor;
-        for (Dispatch d : {Dispatch::kFused, Dispatch::kPlain,
+        for (Dispatch d : {Dispatch::kTranslated, Dispatch::kPlain,
                            Dispatch::kNoPredecode}) {
             SCOPED_TRACE(k.name + " / " + dispatchName(d));
             ProfiledRun r = profiledRun(k.source, kind, d);
@@ -121,20 +122,20 @@ TEST(Profiler, CatalogAttributionBalancesInAllDispatchModes)
     }
 }
 
-/** Fused macro-ops are de-aggregated to their constituent PCs, so the
- *  fused profile must be *bit-identical* to single-stepping — same
- *  PCs, same per-PC instruction and cycle counts. */
-TEST(Profiler, FusedProfileIdenticalToPlainPerPc)
+/** Translated blocks are replayed to their constituent PCs, so the
+ *  translated profile must be *bit-identical* to single-stepping —
+ *  same PCs, same per-PC instruction and cycle counts. */
+TEST(Profiler, TranslatedProfileIdenticalToPlainPerPc)
 {
     for (const auto &k : kernelCatalog()) {
-        if (k.name.find("baseline") != std::string::npos)
-            continue; // fusion only exists on the GF core path
+        CoreKind kind = k.name.find("baseline") != std::string::npos
+                            ? CoreKind::kBaseline
+                            : CoreKind::kGfProcessor;
         SCOPED_TRACE(k.name);
-        ProfiledRun fused =
-            profiledRun(k.source, CoreKind::kGfProcessor, Dispatch::kFused);
-        ProfiledRun plain =
-            profiledRun(k.source, CoreKind::kGfProcessor, Dispatch::kPlain);
-        auto a = fused.profile.nonZero();
+        ProfiledRun translated =
+            profiledRun(k.source, kind, Dispatch::kTranslated);
+        ProfiledRun plain = profiledRun(k.source, kind, Dispatch::kPlain);
+        auto a = translated.profile.nonZero();
         auto b = plain.profile.nonZero();
         ASSERT_EQ(a.size(), b.size());
         for (size_t i = 0; i < a.size(); ++i) {
@@ -157,7 +158,7 @@ TEST(Profiler, CtrlClassCountsNopAndHalt)
         nop
         halt
     )",
-                                CoreKind::kGfProcessor, Dispatch::kFused);
+                                CoreKind::kGfProcessor, Dispatch::kTranslated);
     EXPECT_TRUE(r.run.halted);
     EXPECT_EQ(r.stats.ctrl_ops, r.stats.instrs);
     EXPECT_EQ(r.stats.ctrl_cycles, r.stats.cycles);
@@ -177,7 +178,7 @@ TEST(Profiler, TrapRunStillBalances)
         ldr  r2, [r1]         ; out-of-range load -> trap
         halt
     )",
-                                CoreKind::kGfProcessor, Dispatch::kFused);
+                                CoreKind::kGfProcessor, Dispatch::kTranslated);
     EXPECT_FALSE(r.run.halted);
     EXPECT_NE(r.run.trap.kind, TrapKind::kNone);
     EXPECT_TRUE(r.profile.consistent());

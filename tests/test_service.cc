@@ -646,7 +646,7 @@ TEST(Service, BackpressureRejectsPastWatermarkExactlyOnceEach)
     ServicePair sp(std::move(opts));
 
     // Slow poison: full-length 127-bit ECDH scalars serialize behind a
-    // single fused worker while the burst keeps arriving.
+    // a single worker while the burst keeps arriving.
     EllipticCurve curve = EllipticCurve::nist("K-233");
     Gf2x k(std::vector<uint64_t>{0x1234567890abcdefull,
                                  0x7fffffffffffffffull});
@@ -689,6 +689,55 @@ TEST(Service, BackpressureRejectsPastWatermarkExactlyOnceEach)
     EXPECT_EQ(answered.size(), kBurst);
     EXPECT_GT(ok, 0u);
     EXPECT_GT(rejected, 0u) << "watermark 2 with a 96-burst must reject";
+}
+
+/**
+ * A closed loop keeping 8 requests in flight stays far below the
+ * admission watermark (4096 queued jobs), so no request may be refused
+ * as busy.  Two workers per engine let a worker claim a job while its
+ * batch is still being submitted, driving the engine's pending count
+ * below zero for an instant; an unsigned count would read ~2^64 there
+ * and refuse the request.
+ */
+TEST(Service, SmallClosedLoopIsNeverRejectedBusy)
+{
+    auto opts = baseOptions(uniqueSocketPath());
+    opts.engine.threads = 2;
+    ServicePair sp(std::move(opts));
+    RSCode rs(8, 8);
+    std::vector<std::pair<RequestClass, std::vector<uint8_t>>> pool;
+    for (unsigned i = 0; i < 8; ++i) {
+        auto rx = noisyRsWord(rs, i % (rs.t() + 1), 7000 + i);
+        pool.emplace_back(RequestClass::kRsDecode, rsDecodeBody(rx));
+        pool.emplace_back(RequestClass::kRsSyndrome, rsSyndromeBody(rx));
+    }
+
+    constexpr unsigned kWindow = 8, kRequests = 3000;
+    unsigned sent = 0;
+    auto send = [&] {
+        RequestHeader h;
+        h.cls = pool[sent % pool.size()].first;
+        h.id = sent;
+        sp.client.queueRequest(h, pool[sent % pool.size()].second);
+        ++sent;
+    };
+    for (unsigned i = 0; i < kWindow; ++i)
+        send();
+    ASSERT_TRUE(sp.client.flush());
+
+    unsigned ok = 0, busy = 0;
+    Response resp;
+    for (unsigned done = 0; done < kRequests; ++done) {
+        ASSERT_TRUE(sp.client.recvResponse(&resp, 30000));
+        ok += resp.header.status == Status::kOk;
+        busy += resp.header.status == Status::kRejectedBusy;
+        if (sent < kRequests) {
+            send();
+            ASSERT_TRUE(sp.client.flush());
+        }
+    }
+    EXPECT_EQ(busy, 0u);
+    EXPECT_EQ(ok, kRequests);
 }
 
 TEST(Service, GracefulDrainAnswersEveryAdmittedRequestOnce)

@@ -130,6 +130,15 @@ struct BranchCase
     bool taken;
 };
 
+// Without this, gtest prints the raw bytes of the case (the address of the
+// mnemonic and the padding after `taken`), and ctest names the test after
+// them, so the names would differ from build to build.
+void PrintTo(const BranchCase &c, std::ostream *os)
+{
+    *os << c.cond << ' ' << c.a << ',' << c.b
+        << (c.taken ? " taken" : " not taken");
+}
+
 class BranchTest : public ::testing::TestWithParam<BranchCase>
 {
 };
@@ -151,7 +160,7 @@ TEST_P(BranchTest, ConditionSemantics)
     Machine m(src, CoreKind::kGfProcessor);
     m.runOk();
     EXPECT_EQ(m.core().reg(0), c.taken ? 1u : 0u)
-        << c.cond << " " << c.a << "," << c.b;
+        << ::testing::PrintToString(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -25,12 +25,6 @@
  *                       every irreducible polynomial, degrees 2..8
  *   --exhaustive        with --verify-gfau, additionally sweep every
  *                       (2m-1)-bit product per field
- *   --dump-fused        print the fused micro-op regions the fast
- *                       interpreter forms for each program (one line
- *                       per region, "0xADDR kind len=N"); fails if no
- *                       program fuses anything — the catalog kernels
- *                       are written around the fusion patterns, so an
- *                       all-empty dump means the fusion pass regressed
  *   --werror            exit nonzero on warnings too
  *   --mem-bytes N       memory size for address-range lints
  *   --max-findings N    cap findings per program
@@ -58,7 +52,6 @@
 #include "analysis/report_format.h"
 #include "isa/assembler.h"
 #include "kernels/kernel_catalog.h"
-#include "sim/machine.h"
 
 using namespace gfp;
 
@@ -70,7 +63,6 @@ struct Cli
     bool kernels = false;
     bool verify_gfau = false;
     bool exhaustive = false;
-    bool dump_fused = false;
     bool certify = false;
     bool wcet = false;
     bool werror = false;
@@ -94,7 +86,7 @@ usage(const char *argv0)
                  "[--format=human|json|sarif] [--output FILE] "
                  "[--certify-baseline FILE] "
                  "[--update-certify-baseline FILE] [--watchdog N] "
-                 "[--verify-gfau [--exhaustive]] [--dump-fused] "
+                 "[--verify-gfau [--exhaustive]] "
                  "[--werror] [--mem-bytes N] [--max-findings N] [-q] "
                  "[file.s ...]\n",
                  argv0);
@@ -146,24 +138,6 @@ processOne(const Cli &cli, const std::string &name, const std::string &file,
         !(pr.lint.hasErrors() || (cli.werror && !pr.lint.clean()));
     reports.push_back(std::move(pr));
     return pass;
-}
-
-/// Print the fused micro-op stream the fast interpreter forms for
-/// @p prog; returns the number of fused regions.
-size_t
-dumpFused(const Cli &cli, const std::string &name, const Program &prog)
-{
-    Machine mach(prog, CoreKind::kGfProcessor, cli.lint.mem_bytes);
-    std::vector<std::string> dump = mach.core().fusionDump();
-    if (!cli.quiet || dump.empty()) {
-        std::printf("%s: %zu fused region%s (%s dispatch)\n", name.c_str(),
-                    dump.size(), dump.size() == 1 ? "" : "s",
-                    Core::dispatchKind());
-    }
-    if (!cli.quiet)
-        for (const std::string &line : dump)
-            std::printf("  %s\n", line.c_str());
-    return dump.size();
 }
 
 /// One program's certificate flags, as tracked by the baseline file.
@@ -306,8 +280,6 @@ main(int argc, char **argv)
             cli.verify_gfau = true;
         } else if (!std::strcmp(a, "--exhaustive")) {
             cli.exhaustive = true;
-        } else if (!std::strcmp(a, "--dump-fused")) {
-            cli.dump_fused = true;
         } else if (!std::strcmp(a, "--werror")) {
             cli.werror = true;
         } else if (!std::strcmp(a, "-q") || !std::strcmp(a, "--quiet")) {
@@ -337,7 +309,6 @@ main(int argc, char **argv)
 
     bool ok = true;
     unsigned errors = 0, warnings = 0, programs = 0;
-    size_t fused_regions = 0;
     // Programs live here so ProgramReport::prog stays valid (deque:
     // stable addresses under growth).
     std::deque<Program> storage;
@@ -364,8 +335,6 @@ main(int argc, char **argv)
         ok = processOne(cli, path, path, storage.back(), reports, errors,
                         warnings) &&
              ok;
-        if (cli.dump_fused)
-            fused_regions += dumpFused(cli, path, storage.back());
     }
 
     if (cli.kernels) {
@@ -382,21 +351,6 @@ main(int argc, char **argv)
             ok = processOne(cli, "kernel:" + k.name, "", storage.back(),
                             reports, errors, warnings) &&
                  ok;
-            if (cli.dump_fused)
-                fused_regions += dumpFused(cli, "kernel:" + k.name,
-                                           storage.back());
-        }
-    }
-
-    if (cli.dump_fused && programs > 0) {
-        if (!cli.quiet || fused_regions == 0)
-            std::printf("fused: %zu region%s across %u program%s\n",
-                        fused_regions, fused_regions == 1 ? "" : "s",
-                        programs, programs == 1 ? "" : "s");
-        if (fused_regions == 0) {
-            std::printf("fused: FAILED — no program formed any fused "
-                        "micro-op; the fusion pass has regressed\n");
-            ok = false;
         }
     }
 

@@ -10,13 +10,12 @@
  *   file.s              assemble and profile an assembly source file
  *   --list              print every catalog kernel name and exit
  *   --baseline          run a file.s on the baseline core
- *   --dispatch MODE     fused (default) | plain | translated |
- *                       nopredecode — profiles are identical across
- *                       modes (that invariant is tested); this exists
- *                       to prove it and to time the paths.  translated
- *                       JIT-compiles the kernel (src/jit) and falls
- *                       back to the interpreter for anything the
- *                       certificate policy declines
+ *   --dispatch MODE     translated (default) | plain | nopredecode —
+ *                       profiles are identical across modes (that
+ *                       invariant is tested); this exists to prove it
+ *                       and to time the paths.  translated JIT-compiles
+ *                       the kernel (src/jit) and single-steps whatever
+ *                       it does not cover
  *   --top N             hotspot lines in the flat profile (default 20)
  *   --scaled-voltage    energy at the paper's 0.7 V SPICE point
  *                       instead of the nominal 0.9 V
@@ -73,7 +72,7 @@ struct Cli
     bool list = false;
     bool baseline = false;
     bool quiet = false;
-    std::string dispatch = "fused";
+    std::string dispatch = "translated";
     unsigned top = 20;
     bool scaled_voltage = false;
     std::string trace_path;
@@ -86,7 +85,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--list] [--baseline] [--dispatch "
-                 "fused|plain|translated|nopredecode] [--top N] "
+                 "translated|plain|nopredecode] [--top N] "
                  "[--scaled-voltage] "
                  "[--trace FILE] [--metrics FILE] [--max-instrs N] [-q] "
                  "<kernel-name | file.s>\n",
@@ -257,8 +256,7 @@ main(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             cli.dispatch = v;
-            if (cli.dispatch != "fused" && cli.dispatch != "plain" &&
-                cli.dispatch != "translated" &&
+            if (cli.dispatch != "plain" && cli.dispatch != "translated" &&
                 cli.dispatch != "nopredecode")
                 return usage(argv[0]);
         } else if (!std::strcmp(a, "--top")) {
@@ -317,13 +315,8 @@ main(int argc, char **argv)
 
     Machine mach(program, kind);
     Core &core = mach.core();
-    if (cli.dispatch == "plain") {
-        core.setDispatchMode(DispatchMode::kPlain);
-    } else if (cli.dispatch == "translated") {
-        jit::TranslateOptions topts;
-        topts.mem_bytes = mach.memory().size();
-        topts.watchdog_max_instrs = cli.max_instrs;
-        auto compiled = jit::translate(program, kind, topts);
+    if (cli.dispatch == "translated") {
+        auto compiled = jit::translate(program, kind);
         if (!cli.quiet && !compiled->policyNote().empty())
             std::fprintf(stderr, "gfp-prof: %s\n",
                          compiled->policyNote().c_str());

@@ -13,9 +13,10 @@
  *                       --unix/--tcp is required
  *   --threads N         worker threads per engine (default 1; there
  *                       are nine engines — size the sum to the box)
- *   --dispatch MODE     fused (default) | plain | translated — the
- *                       engine dispatch mode; translated JIT-compiles
- *                       each kernel once and shares it across workers
+ *   --dispatch MODE     translated (default) | plain — the engine
+ *                       dispatch mode; translated JIT-compiles each
+ *                       kernel once and shares it across workers,
+ *                       plain single-steps every instruction
  *   --watermark N       admission watermark: reject with retry-after
  *                       once queued jobs reach N (default 4096)
  *   --max-batch N       largest per-engine batch per submit (default
@@ -62,7 +63,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--unix PATH] [--tcp PORT] [--threads N]\n"
-                 "       [--dispatch fused|plain|translated]\n"
+                 "       [--dispatch translated|plain]\n"
                  "       [--watermark N] [--max-batch N] [--max-instrs N]\n"
                  "       [--metrics FILE] [--trace FILE]\n"
                  "       [--duration SECONDS] [-q]\n",
@@ -101,14 +102,7 @@ main(int argc, char **argv)
                 static_cast<unsigned>(std::atoi(need("--threads")));
         }
         else if (arg == "--dispatch") {
-            std::string mode = need("--dispatch");
-            if (mode == "fused")
-                opts.engine.dispatch = DispatchMode::kFused;
-            else if (mode == "plain")
-                opts.engine.dispatch = DispatchMode::kPlain;
-            else if (mode == "translated")
-                opts.engine.dispatch = DispatchMode::kTranslated;
-            else
+            if (!parseDispatchMode(need("--dispatch"), opts.engine.dispatch))
                 return usage(argv[0]);
         }
         else if (arg == "--watermark") {
