@@ -1,47 +1,40 @@
 /**
  * @file
- * Multi-threaded batch execution engine with sharded work stealing.
+ * Multi-threaded batch execution engine: one FIFO of batches per
+ * engine, a claim cursor per batch and one result slot per job.
  *
- * The ROADMAP's production target is serving decode/crypto traffic at
- * scale, but a single Machine interprets one guest program at a time on
- * one thread.  A BatchEngine runs many *independent* jobs — RS/BCH
+ * A single Machine interprets one guest program at a time on one
+ * thread.  A BatchEngine runs many *independent* jobs — RS/BCH
  * codeword decodes, AES blocks, ECDH exchanges — over a persistent pool
  * of worker threads.  Each worker owns one reusable Machine built from
  * the shared Program and recycles it with Machine::fullReset() between
  * jobs (reset-and-rerun; the program is assembled exactly once per
  * engine, predecoded once per worker).
  *
- * Scheduling topology (this replaced a single contended work queue and
- * a shared results vector):
+ * Scheduling:
  *
- *  - every worker owns a *shard*: a deque of pending jobs behind its
- *    own lock, so submission and claiming never cross one global lock;
- *  - submitBatch() slices a batch into per-shard runs — N jobs pushed
- *    per lock acquisition — instead of queueing jobs one at a time;
- *  - a worker drains its own shard oldest-first; when empty it *steals*
- *    the newer half of a victim's shard (Chase–Lev-style ends: owner at
- *    the front, thieves at the back; per-shard locks stand in for the
- *    lock-free protocol because batches are pushed by external
- *    producers, which breaks the single-owner-push invariant the
- *    original algorithm needs);
- *  - each worker appends finished JobResults to a per-worker *result
- *    arena* of the owning batch; arenas are drained into the job-ordered
- *    result vector only when the batch completes, so workers never
- *    contend on a shared results structure;
+ *  - submitBatch() appends the batch to the engine's FIFO of batches
+ *    with unclaimed jobs, under the one engine mutex, and adds its job
+ *    count to pendingJobs() in the same critical section;
+ *  - an idle worker claims the front batch's next job by advancing the
+ *    batch's *claim cursor*, pops the batch once its last job is
+ *    claimed, and runs the job outside the lock;
+ *  - every batch owns a pre-sized result vector; slot i is written only
+ *    by the worker that claimed job i, so each job runs exactly once
+ *    and results come back in job order by construction, with no merge;
  *  - completion is an async signal (atomic countdown + condition
  *    variable), not a join: producers on any thread submitBatch() and
  *    wait() on their own tickets concurrently.
  *
- * Isolation guarantees (unchanged from the single-queue engine):
+ * Isolation guarantees:
  *  - jobs are data-driven (label-addressed input/output byte blocks),
  *    so nothing host-side is shared between workers during a run;
  *  - a faulting job (trap, watchdog, injected SEU) yields a JobResult
  *    carrying the Trap and no outputs — it never aborts the host, and
  *    fullReset() guarantees the *next* job on that worker starts from a
- *    pristine machine, so one bad job cannot poison the batch, even
- *    when the bad job reached its worker over the steal path;
- *  - results are returned in job order regardless of which worker ran
- *    a job, and are bit-for-bit identical to serial execution.
+ *    pristine machine, so one bad job cannot poison the batch;
+ *  - results are bit-for-bit identical to serial execution, whichever
+ *    worker ran each job.
  *
  * Typical synchronous use:
  *
@@ -186,14 +179,11 @@ class BatchEngine
     };
 
     BatchEngine(BatchProgram bp, Options opts);
-    BatchEngine(Program program, CoreKind kind, Options opts);
     BatchEngine(const std::string &asm_source, CoreKind kind,
                 Options opts);
-    // Defaulted-Options overloads (a `= {}` default argument for a
+    // Defaulted-Options overload (a `= {}` default argument for a
     // nested aggregate with member initializers trips GCC here).
     explicit BatchEngine(BatchProgram bp);
-    BatchEngine(Program program, CoreKind kind);
-    BatchEngine(const std::string &asm_source, CoreKind kind);
 
     /** Drains queued work, then stops and joins the worker pool.
      *  Results of tickets never redeemed with wait() are discarded. */
@@ -202,7 +192,7 @@ class BatchEngine
     BatchEngine(const BatchEngine &) = delete;
     BatchEngine &operator=(const BatchEngine &) = delete;
 
-    /** Worker threads (and shards) the pool uses. */
+    /** Worker threads the pool uses. */
     unsigned threads() const { return threads_; }
 
     const Program &program() const { return program_; }
@@ -225,11 +215,11 @@ class BatchEngine
     std::vector<JobResult> runSerial(const std::vector<Job> &jobs);
 
     /**
-     * Asynchronously submit a batch: jobs are sliced into per-shard
-     * runs (one shard lock acquisition per run) and the pool starts on
-     * them immediately.  Thread-safe — any number of producer threads
-     * may submit concurrently; each batch is tracked by its own ticket
-     * and executes each job exactly once.  Unlike run(), the Metrics
+     * Asynchronously submit a batch: it joins the engine's FIFO in one
+     * lock acquisition and the pool starts on it immediately.
+     * Thread-safe — any number of producer threads may submit
+     * concurrently; each batch is tracked by its own ticket and
+     * executes each job exactly once.  Unlike run(), the Metrics
      * registry is NOT cleared, so counters accumulate across batches
      * (that is what sustained-service callers want to watch).
      */
@@ -237,50 +227,26 @@ class BatchEngine
 
     /**
      * Block until every job of @p ticket has executed, then return its
-     * results in job order (per-worker arenas are drained and merged
-     * here, on the waiting thread).  Each ticket can be redeemed once;
-     * an unknown or already-redeemed ticket is host misuse and fatal.
+     * results in job order.  Each ticket can be redeemed once; an
+     * unknown or already-redeemed ticket is host misuse and fatal.
      */
     std::vector<JobResult> wait(Ticket ticket);
 
     /**
      * Jobs submitted but not yet claimed by a worker — the queue-depth
      * signal admission-control layers watch (src/service uses it to
-     * reject with retry-after once a watermark is crossed).  Lock-free,
-     * and never more than the jobs submitted but not yet claimed: a
-     * worker may claim a job before submitBatch() publishes its count,
-     * so the counter can dip below zero for that instant, and reads
-     * clamp it at zero.
+     * reject with retry-after once a watermark is crossed).  Lock-free
+     * and exact: the count changes only under the engine mutex, in the
+     * same critical section that queues or claims the jobs.
      */
-    size_t pendingJobs() const
-    {
-        const int64_t v = pending_.load(std::memory_order_acquire);
-        return v > 0 ? static_cast<size_t>(v) : 0;
-    }
-
-    /**
-     * Ask every worker to tear down and rebuild its Machine before its
-     * next job (lazy, per worker).  The per-job fullReset() already
-     * guarantees a pristine machine; this additionally discards the
-     * host-side allocations (memory arrays, predecode cache) — the
-     * engine-level analogue of fullReset() for long-running services.
-     */
-    void refreshWorkers();
-
-    /** Per-worker aggregated guest cycle statistics of the last run()
-     *  (or last wait(); runSerial() fills a single slot). */
-    const std::vector<CycleStats> &workerStats() const
-    {
-        return worker_stats_;
-    }
+    size_t pendingJobs() const { return pending_.load(); }
 
     /**
      * Telemetry registry.  run()/runSerial() clear it first, so after a
      * synchronous run it describes exactly that run; across
      * submitBatch()/wait() it accumulates.  Naming conventions are
      * documented in engine/metrics.h (job/trap counters, jobs/s,
-     * utilization and shard-depth gauges, steal counters, latency and
-     * submission-batch histograms).
+     * utilization gauges, latency histograms).
      */
     const Metrics &metrics() const { return metrics_; }
 
@@ -296,40 +262,16 @@ class BatchEngine
   private:
     struct Batch;
 
-    /** One pending job reference in a shard.  The raw Batch pointer is
-     *  safe: a batch is only released after all of its tasks executed
-     *  (remaining == 0) *and* the owner redeemed the ticket. */
-    struct Task
-    {
-        Batch *batch;
-        uint32_t index;
-    };
-
-    /** A worker's job shard: its own lock, deque, and a mirrored depth
-     *  for lock-free gauge reads.  Cache-line-aligned so neighboring
-     *  shards never false-share. */
-    struct alignas(64) Shard
-    {
-        std::mutex mu;
-        std::deque<Task> q;
-        std::atomic<size_t> depth{0};
-    };
-
-    void startPool();
     void workerLoop(unsigned w);
-    bool popLocal(unsigned w, Task &out);
-    bool stealInto(unsigned w, Task &out);
-    void execute(unsigned w, const Task &task);
     void finishBatch(Batch &batch);
-    void publishPoolGauges();
 
     /** Recycle @p machine and run one job on it; start/host seconds
      *  are measured against @p epoch. */
     JobResult runOne(Machine &machine, const Job &job,
                      std::chrono::steady_clock::time_point epoch) const;
 
-    /** Apply opts_.dispatch to a (re)built worker machine: set the
-     *  mode and, for kTranslated, install the shared translation. */
+    /** Apply opts_.dispatch to a worker machine: set the mode and, for
+     *  kTranslated, install the shared translation. */
     void configureDispatch(Machine &machine) const;
 
     /** Fill metrics_ and the attached trace log from a finished run. */
@@ -345,35 +287,24 @@ class BatchEngine
      *  blocks when nothing in the program is translatable). */
     std::shared_ptr<const jit::CompiledProgram> translation_;
 
-    // ---- pool state ----
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::thread> pool_;
-    std::mutex pool_mu_;   ///< guards pool start and batch registry
-    bool pool_started_ = false;
+    // ---- pool state, guarded by mu_.  A raw Batch pointer in queue_
+    // stays valid: a batch leaves the queue when its last job is
+    // claimed, and wait() releases it only after every job finished ----
+    std::mutex mu_;
+    std::condition_variable cv_;  ///< workers wait for work or stop_
+    std::deque<Batch *> queue_;   ///< batches with unclaimed jobs
     std::map<Ticket, std::shared_ptr<Batch>> batches_;
     Ticket next_ticket_ = 1;
-    std::atomic<unsigned> next_shard_{0}; ///< rotates batch placement
-    std::atomic<uint64_t> machine_epoch_{0}; ///< refreshWorkers() ticks
-
-    // ---- idle/wakeup protocol: pending_ counts queued-but-unclaimed
-    // jobs; workers sleep on idle_cv_ only when it reads zero or less.
-    // Signed because submitBatch() publishes the count after pushing
-    // the tasks, so a claim can be subtracted first ----
-    std::mutex idle_mu_;
-    std::condition_variable idle_cv_;
-    std::atomic<int64_t> pending_{0};
     bool stop_ = false;
+    /** Unclaimed jobs in queue_; written only under mu_. */
+    std::atomic<size_t> pending_{0};
 
-    // ---- steal telemetry (engine-lifetime; published as gauges) ----
-    std::vector<std::unique_ptr<std::atomic<uint64_t>>> worker_steals_;
-    std::atomic<uint64_t> steals_{0};
-    std::atomic<uint64_t> jobs_stolen_{0};
-    std::atomic<uint64_t> steal_failures_{0};
-
-    std::mutex stats_mu_; ///< guards worker_stats_ writes from wait()
-    std::vector<CycleStats> worker_stats_;
     Metrics metrics_;
     TraceLog *trace_log_ = nullptr;
+
+    /** Workers, started by the first non-empty submitBatch() (under
+     *  mu_); declared last, after everything they use. */
+    std::vector<std::thread> pool_;
 };
 
 } // namespace gfp

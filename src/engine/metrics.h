@@ -16,16 +16,9 @@
  *               submitBatch()/wait() cycles — the scheduler invariant
  *               is submitted == completed + trapped once drained)
  *   gauges      workers, jobs_per_sec, queue_depth_peak,
- *               worker<i>_utilization (busy time / wall time),
- *               shard<i>_queue_depth (per-shard pending jobs; zero
- *               once the pool is drained),
- *               steals / jobs_stolen / steal_failures and
- *               worker<i>_steals (work-stealing activity; run-scoped
- *               after run(), cumulative across submitBatch()/wait())
+ *               worker<i>_utilization (busy time / wall time)
  *   histograms  job_host_us (per-job host wall-clock, microseconds),
- *               job_guest_cycles,
- *               submit_batch_jobs (jobs pushed into a shard per
- *               submission lock acquisition)
+ *               job_guest_cycles
  *
  * Histograms keep count/sum/min/max plus power-of-two buckets
  * (le 1, 2, 4, ... 2^30), enough for latency shape without a

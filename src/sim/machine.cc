@@ -19,7 +19,9 @@ Machine::Machine(Program program, CoreKind kind, size_t mem_bytes)
                   program_.footprint(), mem_bytes);
     }
     loadProgram();
-    pristine_ = mem_.snapshot();
+    // Everything above the footprint is still zero, so the restore
+    // image need not hold it.
+    pristine_.assign(mem_.data(), mem_.data() + program_.footprint());
     core_ = std::make_unique<Core>(mem_, kind);
     core_->enablePredecode(static_cast<uint32_t>(4 * program_.code.size()));
 }

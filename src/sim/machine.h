@@ -94,7 +94,9 @@ class Machine
 
     Program program_;
     Memory mem_;
-    std::vector<uint8_t> pristine_; ///< memory image after construction
+    /** Memory image after construction, up to the program footprint
+     *  (every byte above it is zero). */
+    std::vector<uint8_t> pristine_;
     std::unique_ptr<Core> core_;
 };
 

@@ -107,23 +107,31 @@ Memory::writeBlock(uint32_t addr, const std::vector<uint8_t> &data)
 void
 Memory::restore(const std::vector<uint8_t> &image)
 {
-    if (image.size() != bytes_.size())
+    if (image.size() > bytes_.size())
         throw MemoryFault(0, static_cast<unsigned>(image.size()),
                           bytes_.size());
     // Only the dirty window can differ from the snapshot: bytes outside
     // it were not modified since construction / the previous restore(),
-    // so they already equal the image.
+    // so they already hold their restored value.
     const size_t lo = static_cast<size_t>(
         std::min<uint64_t>(dirty_lo_, bytes_.size()));
     const size_t hi = static_cast<size_t>(
         std::min<uint64_t>(dirty_hi_, bytes_.size()));
     if (lo < hi) {
+        const size_t covered = std::min(hi, image.size());
         const size_t watched = std::min<size_t>(watch_limit_, hi);
+        // Watched bytes the image does not cover count as changed.
         if (lo < watched &&
-            std::memcmp(bytes_.data() + lo, image.data() + lo,
-                        watched - lo) != 0)
+            (watched > image.size() ||
+             std::memcmp(bytes_.data() + lo, image.data() + lo,
+                         watched - lo) != 0))
             ++code_epoch_;
-        std::memcpy(bytes_.data() + lo, image.data() + lo, hi - lo);
+        if (lo < covered)
+            std::memcpy(bytes_.data() + lo, image.data() + lo,
+                        covered - lo);
+        const size_t zero_from = std::max(lo, covered);
+        if (zero_from < hi)
+            std::memset(bytes_.data() + zero_from, 0, hi - zero_from);
     }
     dirty_lo_ = UINT64_MAX;
     dirty_hi_ = 0;

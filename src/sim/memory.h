@@ -109,14 +109,16 @@ class Memory
     std::vector<uint8_t> snapshot() const { return bytes_; }
 
     /**
-     * Restore the contents to @p image (must be the same size; an
-     * earlier snapshot() of *this* memory — every modification since
-     * that snapshot is tracked in a dirty window, so only the window
-     * is compared and copied instead of the whole array; that is what
-     * makes the batch engine's per-job recycling cheap).  The code
-     * epoch is bumped only when the watched code region actually
-     * differs, so restoring an image whose program text is unchanged
-     * keeps predecoded instructions and JIT translations valid.
+     * Restore the contents to @p image followed by zeros.  @p image is
+     * a prefix of an earlier state of *this* memory whose bytes beyond
+     * the prefix were all zero (Machine keeps only the program
+     * footprint).  Every modification since that state is tracked in
+     * a dirty window, so only the window is compared and copied or
+     * zero-filled instead of the whole array; that is what makes the
+     * batch engine's per-job recycling cheap.  The code epoch is bumped
+     * only when the watched code region actually differs, so restoring
+     * an image whose program text is unchanged keeps predecoded
+     * instructions and JIT translations valid.
      */
     void restore(const std::vector<uint8_t> &image);
 

@@ -3,20 +3,25 @@
  * Differential proof that translated dispatch is bit-exact with the
  * plain single-stepping interpreter, on the native JIT backend when
  * the build has one and on the portable threaded-code backend forced
- * explicitly.  Every catalog kernel, seeded random programs biased
- * toward hot instruction pairs, branch-into-block corners,
- * self-modifying code, and SEU bit flips all run through each
- * translated core and a plain core and must produce identical
- * registers, memory, traps, and full CycleStats.
+ * explicitly.  Every catalog kernel, every GF(2^m) field the GFAU
+ * supports, seeded random programs biased toward hot instruction
+ * pairs, branch-into-block corners, self-modifying code, and SEU bit
+ * flips all run through each translated core and a plain core and
+ * must produce identical registers, memory, traps, and full
+ * CycleStats.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "gf/field.h"
+#include "gf/polys.h"
+#include "gfau/config_reg.h"
 #include "isa/encoding.h"
 #include "isa/program.h"
 #include "jit/core_translation.h"
@@ -206,6 +211,127 @@ TEST(DispatchDifferential, FastPathMatchesNoPredecodeReference)
         EXPECT_EQ(fast.memory().snapshot(), ref.memory().snapshot())
             << name;
     }
+}
+
+// --------------------- every GF(2^m) field, both ways ----------------
+
+/**
+ * The random programs below never execute gfcfg, so they reach the
+ * JIT's GF tables for the power-on field only.  Here every field the
+ * config verifier proves — the 69 irreducible polynomials of degree
+ * 2..8 — gets one program that loads the field's packed config with
+ * gfcfg, runs gfsqs and gfinvs over every byte value in every lane and
+ * gfmuls, gfadds and gfpows over a seeded sample of in-field lane
+ * pairs, and stores each result.  Translated must match plain in
+ * outputs and CycleStats, and plain must match GFField on every
+ * in-field lane.
+ */
+TEST(DispatchDifferential, EveryFieldConfigMatchesPlainAndGFField)
+{
+    constexpr uint32_t kOutAddr = 0x2000;
+    constexpr uint32_t kCfgAddr = 0x3800;
+    struct Expect
+    {
+        Op op;
+        uint32_t a, b;
+    };
+    unsigned fields = 0;
+    for (unsigned m = 2; m <= 8; ++m) {
+        for (uint32_t poly : irreduciblePolys(m)) {
+            const GFField field(m, poly);
+            char what[32];
+            std::snprintf(what, sizeof what, "GF(2^%u)/0x%x", m, poly);
+            Rng rng(1000 * m + poly);
+            std::vector<uint32_t> words;
+            std::vector<Expect> expects;
+            auto emit = [&](uint32_t w) { words.push_back(w); };
+            auto li = [&](unsigned rd, uint32_t v) {
+                emit(enc(Op::kMovi, rd, 0, 0,
+                         static_cast<int32_t>(v & 0xffff)));
+                emit(enc(Op::kMovt, rd, 0, 0,
+                         static_cast<int32_t>(v >> 16)));
+            };
+            // r10 walks the output area: result k lands at
+            // kOutAddr + 4k, in the order of `expects`.
+            int32_t off = 0;
+            auto store = [&](unsigned rs, Op op, uint32_t a, uint32_t b) {
+                if (off >= 2000) {
+                    emit(enc(Op::kAddi, 10, 10, 0, off));
+                    off = 0;
+                }
+                emit(enc(Op::kStr, rs, 10, 0, off));
+                off += 4;
+                expects.push_back({op, a, b});
+            };
+            auto lanes = [&](unsigned bound) {
+                uint32_t v = 0;
+                for (unsigned l = 0; l < 4; ++l)
+                    v |= static_cast<uint32_t>(rng.below(bound)) << (8 * l);
+                return v;
+            };
+
+            const uint64_t blob = GFConfig::derive(m, poly).pack();
+            li(1, static_cast<uint32_t>(blob));
+            li(2, static_cast<uint32_t>(blob >> 32));
+            li(3, kCfgAddr);
+            emit(enc(Op::kStr, 1, 3, 0, 0));
+            emit(enc(Op::kStr, 2, 3, 0, 4));
+            emit(enc(Op::kGfCfg, 0, 0, 0, kCfgAddr));
+            li(10, kOutAddr);
+            for (uint32_t v = 0; v < 256; v += 4) {
+                const uint32_t a =
+                    v | (v + 1) << 8 | (v + 2) << 16 | (v + 3) << 24;
+                li(1, a);
+                emit(enc(Op::kGfSqs, 2, 1));
+                store(2, Op::kGfSqs, a, 0);
+                emit(enc(Op::kGfInvs, 2, 1));
+                store(2, Op::kGfInvs, a, 0);
+            }
+            for (unsigned k = 0; k < 64; ++k) {
+                const uint32_t a = lanes(1u << m), b = lanes(1u << m);
+                const uint32_t e = lanes(256);
+                li(1, a);
+                li(4, b);
+                li(5, e);
+                emit(enc(Op::kGfMuls, 2, 1, 4));
+                store(2, Op::kGfMuls, a, b);
+                emit(enc(Op::kGfAdds, 2, 1, 4));
+                store(2, Op::kGfAdds, a, b);
+                emit(enc(Op::kGfPows, 2, 1, 5));
+                store(2, Op::kGfPows, a, e);
+            }
+            emit(enc(Op::kHalt));
+
+            runDifferential(words, CoreKind::kGfProcessor, 100'000, what);
+
+            Rig plain(words, CoreKind::kGfProcessor);
+            ASSERT_TRUE(plain.core.run(100'000).halted) << what;
+            for (size_t k = 0; k < expects.size(); ++k) {
+                const Expect &x = expects[k];
+                const uint32_t got = plain.mem.read32(
+                    kOutAddr + 4 * static_cast<uint32_t>(k));
+                for (unsigned l = 0; l < 4; ++l) {
+                    const GFElem a = (x.a >> (8 * l)) & 0xff;
+                    const GFElem b = (x.b >> (8 * l)) & 0xff;
+                    if (!field.contains(a))
+                        continue;
+                    GFElem want = 0;
+                    switch (x.op) {
+                      case Op::kGfSqs: want = field.sqr(a); break;
+                      case Op::kGfInvs: want = field.inv(a); break;
+                      case Op::kGfMuls: want = field.mul(a, b); break;
+                      case Op::kGfAdds: want = GFField::add(a, b); break;
+                      default: want = field.pow(a, b); break;
+                    }
+                    EXPECT_EQ((got >> (8 * l)) & 0xff, want)
+                        << what << " " << opName(x.op) << " lane " << l
+                        << " a=" << a << " b=" << b;
+                }
+            }
+            ++fields;
+        }
+    }
+    EXPECT_EQ(fields, 69u);
 }
 
 // ----------------------- seeded random programs ----------------------

@@ -1,16 +1,14 @@
 /**
  * @file
- * Bounded soak test for the sharded BatchEngine (ctest label `soak`):
- * sustained submit/drain cycles with pipelined tickets, periodic
- * engine-level worker refresh (the pool analogue of the per-job
- * Machine::fullReset()), and trapping jobs in every cycle.  At the end
- * the scheduler's metric invariants must hold exactly:
+ * Bounded soak test for the BatchEngine (ctest label `soak`): sustained
+ * submit/drain cycles with pipelined tickets and trapping jobs in every
+ * cycle.  At the end the scheduler's invariants must hold exactly:
  *
  *   jobs_submitted_total == jobs_completed_total + jobs_trapped_total
- *   every shard<i>_queue_depth gauge back to zero
+ *   pendingJobs() == 0
  *
  * and every sampled batch must stay bit-identical to the serial
- * reference across the whole run, machine rebuilds included.
+ * reference across the whole run.
  */
 
 #include <gtest/gtest.h>
@@ -82,15 +80,11 @@ TEST(EngineSoak, SustainedSubmitDrainCyclesKeepInvariants)
     while (Clock::now() < deadline) {
         in_flight.push_back(eng.submitBatch(jobs));
         ++batches;
-        if (batches % 5 == 0)
-            eng.refreshWorkers();
         if (in_flight.size() >= kMaxInFlight) {
             auto results = eng.wait(in_flight.front());
             in_flight.erase(in_flight.begin());
             ++drained;
-            // Spot-check one in four drained batches bit-for-bit (every
-            // batch is still structurally checked by the engine's
-            // exactly-once merge assert).
+            // Spot-check one in four drained batches bit-for-bit.
             if (drained % 4 == 0)
                 verify(results);
         }
@@ -108,13 +102,7 @@ TEST(EngineSoak, SustainedSubmitDrainCyclesKeepInvariants)
               submitted);
     EXPECT_EQ(m.counter("jobs_trapped_total"),
               static_cast<double>(batches * traps_per_batch));
-    for (unsigned w = 0; w < eng.threads(); ++w)
-        EXPECT_EQ(m.gauge("shard" + std::to_string(w) + "_queue_depth"),
-                  0.0)
-            << w;
-    // A pipelined soak over a sharded pool must actually have exercised
-    // the steal path somewhere along the way.
-    EXPECT_GT(m.gauge("steals"), 0.0);
+    EXPECT_EQ(eng.pendingJobs(), 0u);
 }
 
 } // namespace

@@ -3,8 +3,14 @@
  * gfp-loadgen — load generator for gfp-serve (docs/SERVICE.md).
  *
  * Usage:
- *   gfp-loadgen (--unix PATH | --tcp PORT) [options]
+ *   gfp-loadgen (--unix PATH | --tcp PORT | --direct THREADS) [options]
  *
+ *   --direct THREADS    no server: drive an in-process EngineSet with
+ *                       THREADS (1..64) workers per engine in the same
+ *                       closed loop (single-hop classes rs_syndrome,
+ *                       aes_ctr_block, ecdh_shared only), the same
+ *                       request pool and the same JSON — the direct
+ *                       rate served throughput is compared against
  *   --class NAME        rs_syndrome | rs_decode | bch_decode |
  *                       aes_ctr_block | ecdh_shared | rs_erasure | mix
  *                       (default rs_syndrome; mix round-robins the
@@ -42,6 +48,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -74,6 +81,7 @@ constexpr size_t kIdOffset = 12;
 struct PreparedRequest
 {
     RequestClass cls;
+    std::vector<uint8_t> body;     ///< request body (--direct runs it)
     std::vector<uint8_t> frame;    ///< full frame, id patched per send
     std::vector<uint8_t> expected; ///< expected OK response body
 };
@@ -82,6 +90,7 @@ struct Cli
 {
     std::string unix_path;
     uint16_t tcp_port = 0;
+    unsigned direct_threads = 0; ///< > 0: in-process EngineSet, no socket
     std::string cls = "rs_syndrome";
     size_t window = 64;
     bool closed_loop = true;
@@ -104,7 +113,8 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s (--unix PATH | --tcp PORT) [--class NAME]\n"
+        "usage: %s (--unix PATH | --tcp PORT | --direct THREADS)\n"
+        "       [--class NAME]\n"
         "       [--closed-loop W | --open-loop RATE | --ge G,B,RG,RB]\n"
         "       [--duration S] [--requests N] [--deadline-us N]\n"
         "       [--verify] [--seed N] [--json FILE] [--stats] [-q]\n",
@@ -248,6 +258,7 @@ buildWorkload(RequestClass cls, unsigned count, uint64_t seed,
         h.deadline_us = deadline_us;
         h.id = 0; // patched per send
         appendRequestFrame(req.frame, h, body.data(), body.size());
+        req.body = std::move(body);
         pool.push_back(std::move(req));
     }
     return pool;
@@ -287,6 +298,221 @@ struct Tally
     std::vector<double> latency_us;
 };
 
+/** The "mode" reported in the summary and the JSON document. */
+const char *
+modeName(const Cli &cli)
+{
+    if (cli.direct_threads)
+        return "direct";
+    if (cli.closed_loop)
+        return "closed-loop";
+    return cli.use_ge ? "ge-burst" : "open-loop";
+}
+
+/**
+ * Closed loop straight into an in-process EngineSet: the request path
+ * of gfp-serve without the socket, the wire codec and the server's
+ * threads.  Each request goes through advance() to its job and back
+ * to its response body, as it does in the server.  The window stays
+ * in flight as two half-window batches, so the workers never idle
+ * while one half is turned around.  Returns the elapsed seconds of the
+ * loop (engine set-up excluded).
+ */
+double
+runDirect(const Cli &cli, const std::vector<PreparedRequest> &pool,
+          Tally &tally)
+{
+    BatchEngine::Options opts;
+    opts.threads = cli.direct_threads;
+    EngineSet engines(opts);
+
+    struct Half
+    {
+        BatchEngine::Ticket ticket = 0;
+        EngineId engine = EngineId::kRsSynd;
+        std::vector<RequestExec> execs;
+        std::vector<const PreparedRequest *> reqs;
+        double sent_s = 0;
+    };
+    const size_t half_window = std::max<size_t>(1, cli.window / 2);
+    size_t next = 0;
+
+    const auto epoch = std::chrono::steady_clock::now();
+    auto now_s = [&] {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - epoch)
+            .count();
+    };
+    auto doneSending = [&] {
+        return (cli.max_requests && tally.sent >= cli.max_requests) ||
+               now_s() >= cli.duration_s;
+    };
+    auto submit = [&](Half &h) {
+        h.execs.assign(half_window, RequestExec());
+        h.reqs.clear();
+        std::vector<Job> jobs;
+        jobs.reserve(half_window);
+        for (RequestExec &ex : h.execs) {
+            const PreparedRequest &req = pool[next++ % pool.size()];
+            ex.cls = req.cls;
+            ex.body = req.body;
+            StepResult step = advance(engines, ex, nullptr);
+            GFP_ASSERT(!step.done, "request finished without a hop");
+            h.engine = step.engine;
+            jobs.push_back(std::move(step.job));
+            h.reqs.push_back(&req);
+        }
+        h.sent_s = now_s();
+        h.ticket = engines.engine(h.engine).submitBatch(std::move(jobs));
+        tally.sent += half_window;
+    };
+    auto drain = [&](Half &h) {
+        const std::vector<JobResult> results =
+            engines.engine(h.engine).wait(h.ticket);
+        const double latency_us = (now_s() - h.sent_s) * 1e6;
+        for (size_t i = 0; i < results.size(); ++i) {
+            StepResult fin = advance(engines, h.execs[i], &results[i]);
+            GFP_ASSERT(fin.done, "--direct takes single-hop classes only");
+            ++tally.completed;
+            tally.latency_us.push_back(latency_us);
+            if (fin.status == Status::kTrapped) {
+                ++tally.trapped;
+                continue;
+            }
+            ++tally.ok;
+            if (cli.verify && fin.response != h.reqs[i]->expected)
+                ++tally.verify_failures;
+        }
+    };
+
+    std::array<Half, 2> halves;
+    submit(halves[0]);
+    submit(halves[1]);
+    for (unsigned k = 0;; k ^= 1) {
+        drain(halves[k]);
+        if (doneSending()) {
+            drain(halves[k ^ 1]);
+            break;
+        }
+        submit(halves[k]);
+    }
+    return now_s();
+}
+
+/** Print the summary, write the JSON document, and pick the exit
+ *  status. */
+int
+report(const Cli &cli, Tally &tally, double elapsed_s,
+       double ge_bad_fraction, const std::string &server_stats,
+       bool invariant_ok)
+{
+    std::sort(tally.latency_us.begin(), tally.latency_us.end());
+    const double p50 = quantileExact(tally.latency_us, 0.50);
+    const double p90 = quantileExact(tally.latency_us, 0.90);
+    const double p99 = quantileExact(tally.latency_us, 0.99);
+    const double lat_max =
+        tally.latency_us.empty() ? 0 : tally.latency_us.back();
+    double lat_sum = 0;
+    for (double v : tally.latency_us)
+        lat_sum += v;
+    const double lat_mean =
+        tally.latency_us.empty() ? 0
+                                 : lat_sum / tally.latency_us.size();
+    const double throughput =
+        elapsed_s > 0 ? static_cast<double>(tally.ok) / elapsed_s : 0;
+
+    if (!cli.quiet) {
+        std::printf("gfp-loadgen: class=%s mode=%s elapsed=%.2fs\n",
+                    cli.cls.c_str(), modeName(cli), elapsed_s);
+        std::printf(
+            "  sent=%llu completed=%llu ok=%llu rejected=%llu "
+            "trapped=%llu deadline=%llu shutdown=%llu other=%llu\n",
+            static_cast<unsigned long long>(tally.sent),
+            static_cast<unsigned long long>(tally.completed),
+            static_cast<unsigned long long>(tally.ok),
+            static_cast<unsigned long long>(tally.rejected),
+            static_cast<unsigned long long>(tally.trapped),
+            static_cast<unsigned long long>(tally.deadline),
+            static_cast<unsigned long long>(tally.shutdown),
+            static_cast<unsigned long long>(tally.other));
+        std::printf("  throughput=%.0f ok-responses/s\n", throughput);
+        std::printf(
+            "  latency_us: p50=%.0f p90=%.0f p99=%.0f mean=%.0f "
+            "max=%.0f\n",
+            p50, p90, p99, lat_mean, lat_max);
+        if (cli.use_ge)
+            std::printf("  ge bad-state fraction=%.3f\n",
+                        ge_bad_fraction);
+        if (cli.verify)
+            std::printf("  verify failures=%llu\n",
+                        static_cast<unsigned long long>(
+                            tally.verify_failures));
+    }
+
+    if (!cli.json_path.empty()) {
+        FILE *f = std::fopen(cli.json_path.c_str(), "wb");
+        if (!f) {
+            std::fprintf(stderr, "cannot write %s\n",
+                         cli.json_path.c_str());
+            return 2;
+        }
+        std::string doc = "{\n";
+        doc += strprintf("  \"tool\": \"gfp-loadgen\",\n");
+        doc += strprintf("  \"class\": \"%s\",\n", cli.cls.c_str());
+        doc += strprintf("  \"mode\": \"%s\",\n", modeName(cli));
+        if (cli.direct_threads)
+            doc += strprintf("  \"threads\": %u,\n", cli.direct_threads);
+        if (cli.closed_loop)
+            doc += strprintf("  \"window\": %zu,\n", cli.window);
+        else if (cli.use_ge)
+            doc += strprintf(
+                "  \"ge\": {\"mean_good_s\": %g, \"mean_bad_s\": %g, "
+                "\"rate_good_hz\": %g, \"rate_bad_hz\": %g, "
+                "\"bad_fraction\": %.4f},\n",
+                cli.ge_good_s, cli.ge_bad_s, cli.ge_rate_good,
+                cli.ge_rate_bad, ge_bad_fraction);
+        else
+            doc += strprintf("  \"rate_hz\": %g,\n", cli.rate_hz);
+        doc += strprintf("  \"elapsed_s\": %.3f,\n", elapsed_s);
+        doc += strprintf("  \"sent\": %llu,\n",
+                         static_cast<unsigned long long>(tally.sent));
+        doc += strprintf(
+            "  \"completed\": %llu,\n",
+            static_cast<unsigned long long>(tally.completed));
+        doc += strprintf("  \"ok\": %llu,\n",
+                         static_cast<unsigned long long>(tally.ok));
+        doc += strprintf(
+            "  \"rejected\": %llu,\n",
+            static_cast<unsigned long long>(tally.rejected));
+        doc += strprintf(
+            "  \"trapped\": %llu,\n",
+            static_cast<unsigned long long>(tally.trapped));
+        doc += strprintf(
+            "  \"deadline_expired\": %llu,\n",
+            static_cast<unsigned long long>(tally.deadline));
+        doc += strprintf(
+            "  \"verify_failures\": %llu,\n",
+            static_cast<unsigned long long>(tally.verify_failures));
+        doc += strprintf("  \"throughput_ok_rps\": %.1f,\n", throughput);
+        doc += strprintf(
+            "  \"latency_us\": {\"count\": %zu, \"p50\": %.1f, "
+            "\"p90\": %.1f, \"p99\": %.1f, \"mean\": %.1f, "
+            "\"max\": %.1f}",
+            tally.latency_us.size(), p50, p90, p99, lat_mean, lat_max);
+        if (!server_stats.empty()) {
+            doc += ",\n  \"server_stats\": ";
+            doc += server_stats;
+        }
+        doc += "\n}\n";
+        std::fwrite(doc.data(), 1, doc.size(), f);
+        std::fclose(f);
+    }
+
+    if (tally.verify_failures || !invariant_ok)
+        return 1;
+    return 0;
+}
+
 } // namespace
 
 int
@@ -306,6 +532,13 @@ main(int argc, char **argv)
             cli.unix_path = need("--unix");
         else if (arg == "--tcp")
             cli.tcp_port = static_cast<uint16_t>(std::atoi(need("--tcp")));
+        else if (arg == "--direct") {
+            // Every one of the nine engines starts this many workers.
+            const int threads = std::atoi(need("--direct"));
+            if (threads < 1 || threads > 64)
+                return usage(argv[0]);
+            cli.direct_threads = static_cast<unsigned>(threads);
+        }
         else if (arg == "--class")
             cli.cls = need("--class");
         else if (arg == "--closed-loop") {
@@ -345,7 +578,12 @@ main(int argc, char **argv)
         else
             return usage(argv[0]);
     }
-    if (cli.unix_path.empty() && cli.tcp_port == 0)
+    const bool direct = cli.direct_threads > 0;
+    if (direct == (!cli.unix_path.empty() || cli.tcp_port != 0))
+        return usage(argv[0]); // exactly one target
+    if (direct && (!cli.closed_loop || cli.stats ||
+                   (cli.cls != "rs_syndrome" && cli.cls != "aes_ctr_block" &&
+                    cli.cls != "ecdh_shared")))
         return usage(argv[0]);
 
     // Workload pool: the mix rotates the coding + AES classes.
@@ -376,6 +614,12 @@ main(int argc, char **argv)
                                   cli.seed + 1000 * c, cli.deadline_us);
         for (auto &req : part)
             pool.push_back(std::move(req));
+    }
+
+    if (direct) {
+        Tally tally;
+        const double elapsed_s = runDirect(cli, pool, tally);
+        return report(cli, tally, elapsed_s, 0, "", true);
     }
 
     Client client;
@@ -584,114 +828,6 @@ main(int argc, char **argv)
         }
     }
 
-    std::sort(tally.latency_us.begin(), tally.latency_us.end());
-    const double p50 = quantileExact(tally.latency_us, 0.50);
-    const double p90 = quantileExact(tally.latency_us, 0.90);
-    const double p99 = quantileExact(tally.latency_us, 0.99);
-    const double lat_max =
-        tally.latency_us.empty() ? 0 : tally.latency_us.back();
-    double lat_sum = 0;
-    for (double v : tally.latency_us)
-        lat_sum += v;
-    const double lat_mean =
-        tally.latency_us.empty() ? 0
-                                 : lat_sum / tally.latency_us.size();
-    const double throughput =
-        elapsed_s > 0 ? static_cast<double>(tally.ok) / elapsed_s : 0;
-
-    if (!cli.quiet) {
-        std::printf("gfp-loadgen: class=%s mode=%s elapsed=%.2fs\n",
-                    cli.cls.c_str(),
-                    cli.closed_loop
-                        ? "closed-loop"
-                        : (cli.use_ge ? "ge-burst" : "open-loop"),
-                    elapsed_s);
-        std::printf(
-            "  sent=%llu completed=%llu ok=%llu rejected=%llu "
-            "trapped=%llu deadline=%llu shutdown=%llu other=%llu\n",
-            static_cast<unsigned long long>(tally.sent),
-            static_cast<unsigned long long>(tally.completed),
-            static_cast<unsigned long long>(tally.ok),
-            static_cast<unsigned long long>(tally.rejected),
-            static_cast<unsigned long long>(tally.trapped),
-            static_cast<unsigned long long>(tally.deadline),
-            static_cast<unsigned long long>(tally.shutdown),
-            static_cast<unsigned long long>(tally.other));
-        std::printf("  throughput=%.0f ok-responses/s\n", throughput);
-        std::printf(
-            "  latency_us: p50=%.0f p90=%.0f p99=%.0f mean=%.0f "
-            "max=%.0f\n",
-            p50, p90, p99, lat_mean, lat_max);
-        if (cli.use_ge)
-            std::printf("  ge bad-state fraction=%.3f\n",
-                        ge_bad_fraction);
-        if (cli.verify)
-            std::printf("  verify failures=%llu\n",
-                        static_cast<unsigned long long>(
-                            tally.verify_failures));
-    }
-
-    if (!cli.json_path.empty()) {
-        FILE *f = std::fopen(cli.json_path.c_str(), "wb");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         cli.json_path.c_str());
-            return 2;
-        }
-        std::string doc = "{\n";
-        doc += strprintf("  \"tool\": \"gfp-loadgen\",\n");
-        doc += strprintf("  \"class\": \"%s\",\n", cli.cls.c_str());
-        doc += strprintf(
-            "  \"mode\": \"%s\",\n",
-            cli.closed_loop ? "closed-loop"
-                            : (cli.use_ge ? "ge-burst" : "open-loop"));
-        if (cli.closed_loop)
-            doc += strprintf("  \"window\": %zu,\n", cli.window);
-        else if (cli.use_ge)
-            doc += strprintf(
-                "  \"ge\": {\"mean_good_s\": %g, \"mean_bad_s\": %g, "
-                "\"rate_good_hz\": %g, \"rate_bad_hz\": %g, "
-                "\"bad_fraction\": %.4f},\n",
-                cli.ge_good_s, cli.ge_bad_s, cli.ge_rate_good,
-                cli.ge_rate_bad, ge_bad_fraction);
-        else
-            doc += strprintf("  \"rate_hz\": %g,\n", cli.rate_hz);
-        doc += strprintf("  \"elapsed_s\": %.3f,\n", elapsed_s);
-        doc += strprintf("  \"sent\": %llu,\n",
-                         static_cast<unsigned long long>(tally.sent));
-        doc += strprintf(
-            "  \"completed\": %llu,\n",
-            static_cast<unsigned long long>(tally.completed));
-        doc += strprintf("  \"ok\": %llu,\n",
-                         static_cast<unsigned long long>(tally.ok));
-        doc += strprintf(
-            "  \"rejected\": %llu,\n",
-            static_cast<unsigned long long>(tally.rejected));
-        doc += strprintf(
-            "  \"trapped\": %llu,\n",
-            static_cast<unsigned long long>(tally.trapped));
-        doc += strprintf(
-            "  \"deadline_expired\": %llu,\n",
-            static_cast<unsigned long long>(tally.deadline));
-        doc += strprintf(
-            "  \"verify_failures\": %llu,\n",
-            static_cast<unsigned long long>(tally.verify_failures));
-        doc += strprintf("  \"throughput_ok_rps\": %.1f,\n", throughput);
-        doc += strprintf(
-            "  \"latency_us\": {\"count\": %zu, \"p50\": %.1f, "
-            "\"p90\": %.1f, \"p99\": %.1f, \"mean\": %.1f, "
-            "\"max\": %.1f}",
-            tally.latency_us.size(), p50, p90, p99, lat_mean, lat_max);
-        if (!server_stats.empty()) {
-            doc += ",\n  \"server_stats\": ";
-            doc += server_stats;
-        }
-        doc += "\n}\n";
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fclose(f);
-    }
-
-    if (tally.verify_failures || !invariant_ok)
-        return 1;
-    return 0;
+    return report(cli, tally, elapsed_s, ge_bad_fraction, server_stats,
+                  invariant_ok);
 }
