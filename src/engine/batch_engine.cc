@@ -120,7 +120,6 @@ BatchEngine::workerLoop(unsigned w)
             index = batch->next++;
             if (batch->next == batch->jobs.size())
                 queue_.pop_front();
-            --pending_;
         }
         JobResult &slot = batch->results[index];
         slot = runOne(machine, batch->jobs[index], batch->epoch);
@@ -170,7 +169,6 @@ BatchEngine::submitBatch(std::vector<Job> jobs)
                 for (unsigned w = 0; w < threads_; ++w)
                     pool_.emplace_back([this, w] { workerLoop(w); });
             queue_.push_back(batch.get());
-            pending_ += n;
         }
     }
     if (n == 1)
@@ -196,6 +194,19 @@ BatchEngine::wait(Ticket ticket)
     std::unique_lock<std::mutex> lk(batch->mu);
     batch->cv.wait(lk, [&] { return batch->done; });
     return std::move(batch->results);
+}
+
+JobResult
+BatchEngine::runOn(std::unique_ptr<Machine> &machine, const Job &job)
+{
+    if (!machine) {
+        machine = std::make_unique<Machine>(program_, kind_, opts_.mem_bytes);
+        configureDispatch(*machine);
+    }
+    metrics_.add("jobs_submitted_total");
+    JobResult res = runOne(*machine, job, std::chrono::steady_clock::now());
+    metrics_.add(res.ok() ? "jobs_completed_total" : "jobs_trapped_total");
+    return res;
 }
 
 JobResult

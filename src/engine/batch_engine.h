@@ -14,8 +14,7 @@
  * Scheduling:
  *
  *  - submitBatch() appends the batch to the engine's FIFO of batches
- *    with unclaimed jobs, under the one engine mutex, and adds its job
- *    count to pendingJobs() in the same critical section;
+ *    with unclaimed jobs, under the one engine mutex;
  *  - an idle worker claims the front batch's next job by advancing the
  *    batch's *claim cursor*, pops the batch once its last job is
  *    claimed, and runs the job outside the lock;
@@ -51,6 +50,10 @@
  *     auto t2 = eng.submitBatch(makeJobs(block2));  // any thread
  *     auto r1 = eng.wait(t1);                       // job-ordered
  *     auto r2 = eng.wait(t2);
+ *
+ * A caller with threads of its own (gfp-serve's request workers) skips
+ * the pool: runOn() runs one job on the calling thread, over a Machine
+ * that thread keeps.
  */
 
 #ifndef GFP_ENGINE_BATCH_ENGINE_H
@@ -233,13 +236,15 @@ class BatchEngine
     std::vector<JobResult> wait(Ticket ticket);
 
     /**
-     * Jobs submitted but not yet claimed by a worker — the queue-depth
-     * signal admission-control layers watch (src/service uses it to
-     * reject with retry-after once a watermark is crossed).  Lock-free
-     * and exact: the count changes only under the engine mutex, in the
-     * same critical section that queues or claims the jobs.
+     * Run one job on the calling thread, over @p machine: a Machine the
+     * caller keeps for this engine and uses from one thread at a time.
+     * An empty @p machine is built on first use from program(), with
+     * the engine's dispatch mode and shared translation.  The job counts
+     * in jobs_submitted_total and in jobs_completed_total or
+     * jobs_trapped_total, as a one-job batch would.  Thread-safe across
+     * distinct machines.
      */
-    size_t pendingJobs() const { return pending_.load(); }
+    JobResult runOn(std::unique_ptr<Machine> &machine, const Job &job);
 
     /**
      * Telemetry registry.  run()/runSerial() clear it first, so after a
@@ -296,8 +301,6 @@ class BatchEngine
     std::map<Ticket, std::shared_ptr<Batch>> batches_;
     Ticket next_ticket_ = 1;
     bool stop_ = false;
-    /** Unclaimed jobs in queue_; written only under mu_. */
-    std::atomic<size_t> pending_{0};
 
     Metrics metrics_;
     TraceLog *trace_log_ = nullptr;

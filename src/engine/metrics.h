@@ -12,9 +12,10 @@
  *               (run()-scoped; recorded when a run's telemetry lands);
  *               jobs_submitted_total, jobs_completed_total,
  *               jobs_trapped_total (recorded live at submission and
- *               batch completion, so they accumulate across
- *               submitBatch()/wait() cycles — the scheduler invariant
- *               is submitted == completed + trapped once drained)
+ *               batch completion, and per job by runOn(), so they
+ *               accumulate across submitBatch()/wait() cycles — the
+ *               scheduler invariant is submitted == completed +
+ *               trapped once drained)
  *   gauges      workers, jobs_per_sec, queue_depth_peak,
  *               worker<i>_utilization (busy time / wall time)
  *   histograms  job_host_us (per-job host wall-clock, microseconds),

@@ -2,8 +2,8 @@
  * @file
  * Client side of the gfp-serve wire protocol: connect over unix or
  * TCP, then either blocking one-shot call() or the pipelined
- * queue/flush/recv API the load generator uses to keep the server's
- * streaming batches full.
+ * queue/flush/recv API the load generator uses to keep every server
+ * worker busy.
  *
  * Not thread-safe: one Client per thread (the protocol itself is
  * full-duplex per connection; concurrency belongs at the connection

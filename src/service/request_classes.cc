@@ -150,15 +150,6 @@ EngineSet::engine(EngineId id) const
     return *engines_[static_cast<size_t>(id)];
 }
 
-size_t
-EngineSet::totalPending() const
-{
-    size_t total = 0;
-    for (const auto &e : engines_)
-        total += e->pendingJobs();
-    return total;
-}
-
 bool
 isComputeClass(RequestClass cls)
 {
@@ -479,6 +470,14 @@ advance(const EngineSet &engines, RequestExec &ex, const JobResult *prev)
     }
     GFP_FATAL("advance() on non-compute class 0x%02x",
               static_cast<unsigned>(ex.cls));
+}
+
+JobResult
+runHop(EngineSet &engines, EngineMachines &machines, const StepResult &step)
+{
+    GFP_ASSERT(!step.done, "runHop() on a finished request");
+    return engines.engine(step.engine)
+        .runOn(machines[static_cast<size_t>(step.engine)], step.job);
 }
 
 // ---- body builders ----

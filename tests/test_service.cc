@@ -4,16 +4,18 @@
  * deframing, bit-identity of every request class against direct engine
  * invocation and the host reference codecs, malformed/truncated/fuzzed
  * frame handling, per-request deadlines, admission-control
- * backpressure, graceful-drain exactly-once accounting, and the
- * serving-layer helpers (histogram quantile estimation,
- * Gilbert-Elliott arrival generation).
+ * backpressure, graceful-drain exactly-once accounting, the server's
+ * thread count, and the serving-layer helpers (histogram quantile
+ * estimation, Gilbert-Elliott arrival generation).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <set>
 #include <thread>
 
@@ -93,6 +95,33 @@ noisyRsWord(RSCode &rs, unsigned errors, uint64_t seed,
     ExactErrorInjector inj(seed);
     auto rx = inj.corruptSymbols(cw, errors, 8);
     return std::vector<uint8_t>(rx.begin(), rx.end());
+}
+
+/** A counter of engine @p engine in a kStats document; 0 if absent. */
+double
+engineCounter(const std::string &doc, const std::string &engine,
+              const std::string &counter)
+{
+    const size_t at = doc.find("\"" + engine + "\": {");
+    const size_t end = doc.find("\"gauges\"", at);
+    const std::string needle = "\"" + counter + "\": ";
+    const size_t pos = doc.find(needle, at);
+    if (at == std::string::npos || pos == std::string::npos || pos > end)
+        return 0;
+    return std::atof(doc.c_str() + pos + needle.size());
+}
+
+/** Threads of this process, from /proc/self/task. */
+size_t
+processThreads()
+{
+    size_t n = 0;
+    for (const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)task;
+        ++n;
+    }
+    return n;
 }
 
 std::vector<uint8_t>
@@ -394,6 +423,30 @@ TEST(Service, RsDecodeCorrectsUpToTAndFlagsBeyond)
     RSCode rs(8, 8);
     GFField f8(8);
 
+    // One decode with errors runs each of the four RS kernels once, and
+    // each hop counts on its own engine's registry.
+    {
+        RequestHeader h;
+        h.cls = RequestClass::kRsDecode;
+        h.id = 100;
+        Response resp;
+        ASSERT_TRUE(
+            sp.client.call(h, rsDecodeBody(noisyRsWord(rs, 3, 4999)), &resp));
+        ASSERT_EQ(resp.header.status, Status::kOk);
+        EXPECT_EQ(resp.body[0], 1);
+        h.cls = RequestClass::kStats;
+        h.id = 101;
+        ASSERT_TRUE(sp.client.call(h, {}, &resp));
+        const std::string doc(resp.body.begin(), resp.body.end());
+        for (const char *engine :
+             {"rs_synd", "rs_bma", "rs_chien", "rs_forney"}) {
+            EXPECT_EQ(engineCounter(doc, engine, "jobs_submitted_total"), 1)
+                << engine << "\n" << doc;
+            EXPECT_EQ(engineCounter(doc, engine, "jobs_completed_total"), 1)
+                << engine;
+        }
+    }
+
     for (unsigned e = 0; e <= rs.t() + 1; ++e) {
         std::vector<GFElem> cw;
         auto rx = noisyRsWord(rs, e, 5000 + e, &cw);
@@ -642,7 +695,6 @@ TEST(Service, BackpressureRejectsPastWatermarkExactlyOnceEach)
 {
     auto opts = baseOptions(uniqueSocketPath());
     opts.admission_watermark = 2; // tiny: force rejections
-    opts.max_batch = 4;
     ServicePair sp(std::move(opts));
 
     // Slow poison: full-length 127-bit ECDH scalars serialize behind a
@@ -693,11 +745,9 @@ TEST(Service, BackpressureRejectsPastWatermarkExactlyOnceEach)
 
 /**
  * A closed loop keeping 8 requests in flight stays far below the
- * admission watermark (4096 queued jobs), so no request may be refused
- * as busy.  Two workers per engine let a worker claim a job while its
- * batch is still being submitted, driving the engine's pending count
- * below zero for an instant; an unsigned count would read ~2^64 there
- * and refuse the request.
+ * admission watermark (4096 admitted requests), so no request may be
+ * refused as busy.  Two workers answer requests while the reader
+ * admits the next ones, so every admission races with a completion.
  */
 TEST(Service, SmallClosedLoopIsNeverRejectedBusy)
 {
@@ -738,6 +788,45 @@ TEST(Service, SmallClosedLoopIsNeverRejectedBusy)
     }
     EXPECT_EQ(busy, 0u);
     EXPECT_EQ(ok, kRequests);
+}
+
+/**
+ * The server runs engine.threads workers, one accept thread per
+ * listener and one reader per connection — however many engines the
+ * requests visit: decodes with errors walk every RS and BCH kernel,
+ * and no engine starts a pool of its own.  Threads left over from
+ * earlier tests (detached readers still exiting) can only lower the
+ * count.
+ */
+TEST(Service, ThreadsAreWorkersPlusListenerPlusReader)
+{
+    // A sanitizer runtime may start a helper thread at the process's
+    // first thread creation; create one first so the baseline has it.
+    std::thread([] {}).join();
+    const size_t before = processThreads();
+    auto opts = baseOptions(uniqueSocketPath());
+    opts.engine.threads = 2;
+    ServicePair sp(std::move(opts));
+
+    RSCode rs(8, 8);
+    BCHCode bch(5, 5);
+    std::vector<uint8_t> info(bch.k(), 1);
+    ExactErrorInjector inj(31);
+    RequestHeader h;
+    Response resp;
+    h.cls = RequestClass::kRsDecode;
+    h.id = 1;
+    ASSERT_TRUE(
+        sp.client.call(h, rsDecodeBody(noisyRsWord(rs, 4, 30)), &resp));
+    EXPECT_EQ(resp.header.status, Status::kOk);
+    h.cls = RequestClass::kBchDecode;
+    h.id = 2;
+    ASSERT_TRUE(sp.client.call(
+        h, bchDecodeBody(inj.flipBits(bch.encode(info), 3)), &resp));
+    EXPECT_EQ(resp.header.status, Status::kOk);
+
+    // 2 workers + 1 accept thread + 1 reader.
+    EXPECT_LE(processThreads(), before + 4);
 }
 
 TEST(Service, GracefulDrainAnswersEveryAdmittedRequestOnce)

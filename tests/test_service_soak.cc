@@ -1,8 +1,8 @@
 /**
  * @file
  * Bounded (~10s) service soak: a mixed-class closed-loop client keeps
- * the server's streaming batches full while every OK response is
- * verified bit-for-bit against the host reference codecs.  Carries the
+ * the server's workers busy while every OK response is verified
+ * bit-for-bit against the host reference codecs.  Carries the
  * `soak` ctest label (run with `ctest -L soak`, skip with `-LE soak`).
  */
 

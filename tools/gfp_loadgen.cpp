@@ -5,12 +5,12 @@
  * Usage:
  *   gfp-loadgen (--unix PATH | --tcp PORT | --direct THREADS) [options]
  *
- *   --direct THREADS    no server: drive an in-process EngineSet with
- *                       THREADS (1..64) workers per engine in the same
- *                       closed loop (single-hop classes rs_syndrome,
- *                       aes_ctr_block, ecdh_shared only), the same
- *                       request pool and the same JSON — the direct
- *                       rate served throughput is compared against
+ *   --direct THREADS    no server: THREADS (1..64) threads each run
+ *                       whole requests back to back on an in-process
+ *                       EngineSet, as gfp-serve's workers do, over the
+ *                       same request pool and with the same JSON — the
+ *                       direct rate served throughput is compared
+ *                       against (closed loop only; the window is moot)
  *   --class NAME        rs_syndrome | rs_decode | bch_decode |
  *                       aes_ctr_block | ecdh_shared | rs_erasure | mix
  *                       (default rs_syndrome; mix round-robins the
@@ -48,13 +48,15 @@
  */
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coding/bch.h"
@@ -310,91 +312,68 @@ modeName(const Cli &cli)
 }
 
 /**
- * Closed loop straight into an in-process EngineSet: the request path
- * of gfp-serve without the socket, the wire codec and the server's
- * threads.  Each request goes through advance() to its job and back
- * to its response body, as it does in the server.  The window stays
- * in flight as two half-window batches, so the workers never idle
- * while one half is turned around.  Returns the elapsed seconds of the
- * loop (engine set-up excluded).
+ * The request path of gfp-serve without the socket, the wire codec and
+ * the request queue: THREADS threads each take the next request of the
+ * pool and run all of its hops back to back on their own machines
+ * (runHop()), as a server worker does.  Returns the elapsed seconds of
+ * the loop (engine set-up excluded).
  */
 double
 runDirect(const Cli &cli, const std::vector<PreparedRequest> &pool,
           Tally &tally)
 {
-    BatchEngine::Options opts;
-    opts.threads = cli.direct_threads;
-    EngineSet engines(opts);
-
-    struct Half
-    {
-        BatchEngine::Ticket ticket = 0;
-        EngineId engine = EngineId::kRsSynd;
-        std::vector<RequestExec> execs;
-        std::vector<const PreparedRequest *> reqs;
-        double sent_s = 0;
-    };
-    const size_t half_window = std::max<size_t>(1, cli.window / 2);
-    size_t next = 0;
-
+    EngineSet engines{BatchEngine::Options()};
+    std::atomic<uint64_t> next{0};
     const auto epoch = std::chrono::steady_clock::now();
     auto now_s = [&] {
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - epoch)
             .count();
     };
-    auto doneSending = [&] {
-        return (cli.max_requests && tally.sent >= cli.max_requests) ||
-               now_s() >= cli.duration_s;
-    };
-    auto submit = [&](Half &h) {
-        h.execs.assign(half_window, RequestExec());
-        h.reqs.clear();
-        std::vector<Job> jobs;
-        jobs.reserve(half_window);
-        for (RequestExec &ex : h.execs) {
-            const PreparedRequest &req = pool[next++ % pool.size()];
+    auto worker = [&](Tally &t) {
+        EngineMachines machines;
+        for (;;) {
+            const uint64_t i = next.fetch_add(1);
+            if ((cli.max_requests && i >= cli.max_requests) ||
+                now_s() >= cli.duration_s)
+                return;
+            const PreparedRequest &req = pool[i % pool.size()];
+            const double t0 = now_s();
+            RequestExec ex;
             ex.cls = req.cls;
             ex.body = req.body;
             StepResult step = advance(engines, ex, nullptr);
-            GFP_ASSERT(!step.done, "request finished without a hop");
-            h.engine = step.engine;
-            jobs.push_back(std::move(step.job));
-            h.reqs.push_back(&req);
-        }
-        h.sent_s = now_s();
-        h.ticket = engines.engine(h.engine).submitBatch(std::move(jobs));
-        tally.sent += half_window;
-    };
-    auto drain = [&](Half &h) {
-        const std::vector<JobResult> results =
-            engines.engine(h.engine).wait(h.ticket);
-        const double latency_us = (now_s() - h.sent_s) * 1e6;
-        for (size_t i = 0; i < results.size(); ++i) {
-            StepResult fin = advance(engines, h.execs[i], &results[i]);
-            GFP_ASSERT(fin.done, "--direct takes single-hop classes only");
-            ++tally.completed;
-            tally.latency_us.push_back(latency_us);
-            if (fin.status == Status::kTrapped) {
-                ++tally.trapped;
+            while (!step.done) {
+                const JobResult res = runHop(engines, machines, step);
+                step = advance(engines, ex, &res);
+            }
+            ++t.sent;
+            ++t.completed;
+            t.latency_us.push_back((now_s() - t0) * 1e6);
+            if (step.status != Status::kOk) {
+                ++t.trapped;
                 continue;
             }
-            ++tally.ok;
-            if (cli.verify && fin.response != h.reqs[i]->expected)
-                ++tally.verify_failures;
+            ++t.ok;
+            if (cli.verify && step.response != req.expected)
+                ++t.verify_failures;
         }
     };
 
-    std::array<Half, 2> halves;
-    submit(halves[0]);
-    submit(halves[1]);
-    for (unsigned k = 0;; k ^= 1) {
-        drain(halves[k]);
-        if (doneSending()) {
-            drain(halves[k ^ 1]);
-            break;
-        }
-        submit(halves[k]);
+    std::vector<Tally> tallies(cli.direct_threads);
+    std::vector<std::thread> threads;
+    for (Tally &t : tallies)
+        threads.emplace_back(worker, std::ref(t));
+    for (std::thread &th : threads)
+        th.join();
+    for (const Tally &t : tallies) {
+        tally.sent += t.sent;
+        tally.completed += t.completed;
+        tally.ok += t.ok;
+        tally.trapped += t.trapped;
+        tally.verify_failures += t.verify_failures;
+        tally.latency_us.insert(tally.latency_us.end(),
+                                t.latency_us.begin(), t.latency_us.end());
     }
     return now_s();
 }
@@ -533,7 +512,6 @@ main(int argc, char **argv)
         else if (arg == "--tcp")
             cli.tcp_port = static_cast<uint16_t>(std::atoi(need("--tcp")));
         else if (arg == "--direct") {
-            // Every one of the nine engines starts this many workers.
             const int threads = std::atoi(need("--direct"));
             if (threads < 1 || threads > 64)
                 return usage(argv[0]);
@@ -581,9 +559,7 @@ main(int argc, char **argv)
     const bool direct = cli.direct_threads > 0;
     if (direct == (!cli.unix_path.empty() || cli.tcp_port != 0))
         return usage(argv[0]); // exactly one target
-    if (direct && (!cli.closed_loop || cli.stats ||
-                   (cli.cls != "rs_syndrome" && cli.cls != "aes_ctr_block" &&
-                    cli.cls != "ecdh_shared")))
+    if (direct && (!cli.closed_loop || cli.stats))
         return usage(argv[0]);
 
     // Workload pool: the mix rotates the coding + AES classes.

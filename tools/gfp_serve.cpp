@@ -11,16 +11,15 @@
  *   --tcp PORT          listen on 127.0.0.1:PORT (0 = ephemeral; the
  *                       bound port is printed).  At least one of
  *                       --unix/--tcp is required
- *   --threads N         worker threads per engine (default 1; there
- *                       are nine engines — size the sum to the box)
+ *   --threads N         request workers, each running whole requests
+ *                       (default 0 = one per hardware thread)
  *   --dispatch MODE     translated (default) | plain — the engine
  *                       dispatch mode; translated JIT-compiles each
  *                       kernel once and shares it across workers,
  *                       plain single-steps every instruction
  *   --watermark N       admission watermark: reject with retry-after
- *                       once queued jobs reach N (default 4096)
- *   --max-batch N       largest per-engine batch per submit (default
- *                       512)
+ *                       once N requests are admitted but not yet
+ *                       answered (default 4096)
  *   --max-instrs N      per-job watchdog budget (default 500000000)
  *   --metrics FILE      write the combined stats JSON on exit
  *   --trace FILE        write a Chrome trace_event JSON of request
@@ -64,7 +63,7 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--unix PATH] [--tcp PORT] [--threads N]\n"
                  "       [--dispatch translated|plain]\n"
-                 "       [--watermark N] [--max-batch N] [--max-instrs N]\n"
+                 "       [--watermark N] [--max-instrs N]\n"
                  "       [--metrics FILE] [--trace FILE]\n"
                  "       [--duration SECONDS] [-q]\n",
                  argv0);
@@ -77,7 +76,6 @@ int
 main(int argc, char **argv)
 {
     Server::Options opts;
-    opts.engine.threads = 1;
     std::string metrics_path, trace_path;
     double duration_s = 0;
 
@@ -108,10 +106,6 @@ main(int argc, char **argv)
         else if (arg == "--watermark") {
             opts.admission_watermark =
                 static_cast<size_t>(std::atoll(need("--watermark")));
-        }
-        else if (arg == "--max-batch") {
-            opts.max_batch =
-                static_cast<size_t>(std::atoll(need("--max-batch")));
         }
         else if (arg == "--max-instrs") {
             opts.engine.max_instrs =

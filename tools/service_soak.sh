@@ -9,9 +9,11 @@
 #     --stats runs re-check the request/response accounting equations),
 #   - the final metrics document reports zero protocol errors,
 #   - for rs_syndrome and aes_ctr_block, served throughput reaches the
-#     gate share (default 0.8) of the direct rate: the same closed loop
-#     on an in-process EngineSet (gfp-loadgen --direct), measured in
-#     this run, back to back with the served one.
+#     gate share (default 0.8) of the direct rate: the same request
+#     pool run by one thread on an in-process EngineSet, whole requests
+#     through runHop() as a server worker runs them (gfp-loadgen
+#     --direct 1), measured in this run, back to back with the served
+#     one.
 #
 # Artifacts land in OUT_DIR: per-scenario loadgen JSON (served and
 # direct), the combined server metrics JSON (service counters + latency
@@ -60,9 +62,9 @@ trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
 await_sock
 
 # Gated closed-loop scenarios run best-of-3 pairs: each attempt
-# measures the direct rate (gfp-loadgen --direct, one engine worker
-# like the server's --threads 1) and then the served rate, back to
-# back, so drift on a shared host moves both.  The box is shared with
+# measures the direct rate (gfp-loadgen --direct 1, one thread like
+# the server's one worker at --threads 1) and then the served rate,
+# back to back, so drift on a shared host moves both.  The box is shared with
 # the load generator itself, so single runs carry several percent of
 # scheduler noise.  Stop early once a pair clears the gate; keep the
 # best pair's JSON either way.  The hard >=GFP_SOAK_GATE check happens
@@ -123,8 +125,8 @@ kill -TERM "$serve_pid"
 wait "$serve_pid"
 
 # Phase 2 — a short saturated run with per-request Chrome tracing: the
-# trace artifact shows request spans (pid 3) interleaved with engine
-# worker spans and the queue-depth counters under real overload.
+# trace artifact shows request spans (pid 3) and the request-queue
+# depth counter under real overload.
 rm -f "$sock"
 "$serve" --unix "$sock" --threads 1 --dispatch translated \
     --trace "$out/TRACE_service.json" -q &
