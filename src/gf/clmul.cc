@@ -2,14 +2,8 @@
 
 #include <atomic>
 
-#if defined(__x86_64__) || defined(__i386__)
+#if defined(__x86_64__)
 #include <immintrin.h>
-#define GFP_CLMUL_X86 1
-#elif defined(__aarch64__)
-#include <arm_neon.h>
-#if defined(__ARM_FEATURE_AES) || defined(__ARM_FEATURE_CRYPTO)
-#define GFP_CLMUL_PMULL 1
-#endif
 #endif
 
 namespace gfp {
@@ -51,7 +45,7 @@ rev64(uint64_t v)
     return __builtin_bswap64(v);
 }
 
-#if defined(GFP_CLMUL_X86)
+#if defined(__x86_64__)
 
 __attribute__((target("pclmul,sse2"))) void
 clmulHw(uint64_t a, uint64_t b, uint64_t &hi, uint64_t &lo)
@@ -71,27 +65,6 @@ detectHw()
 }
 
 const char *const kHwName = "pclmul";
-
-#elif defined(GFP_CLMUL_PMULL)
-
-void
-clmulHw(uint64_t a, uint64_t b, uint64_t &hi, uint64_t &lo)
-{
-    poly128_t p = vmull_p64(static_cast<poly64_t>(a),
-                            static_cast<poly64_t>(b));
-    lo = static_cast<uint64_t>(p);
-    hi = static_cast<uint64_t>(p >> 64);
-}
-
-bool
-detectHw()
-{
-    // The crypto extension was required at compile time; any CPU this
-    // binary runs on has it.
-    return true;
-}
-
-const char *const kHwName = "pmull";
 
 #else
 

@@ -8,11 +8,11 @@
  * offers, detected once at runtime:
  *
  *  - x86-64 PCLMULQDQ (one instruction per product),
- *  - AArch64 PMULL (when compiled with crypto extensions),
  *  - a portable branch-free fallback built from masked integer
- *    multiplies (the BearSSL "holes" technique) — no per-bit loop.
+ *    multiplies (the BearSSL "holes" technique) — no per-bit loop;
+ *    every other host, AArch64 included, uses it.
  *
- * Every accelerated path is differentially proven against the bit-serial
+ * Both paths are differentially proven against the bit-serial
  * clmul64() reference from common/bitops.h by tests/test_gf2x.cc, and
  * benches/tests can pin the portable path with setClmulPortableOnly()
  * to measure or cross-check the backends.
@@ -28,7 +28,7 @@ namespace gfp {
 /** Which carry-less multiply implementation serves clmulWide(). */
 struct ClmulBackendInfo
 {
-    const char *name;  ///< "pclmul", "pmull", or "portable"
+    const char *name;  ///< "pclmul" or "portable"
     bool accelerated;  ///< true when a hardware instruction is used
 };
 

@@ -101,7 +101,7 @@ class Gf2x
 
     /**
      * Full carry-less product over 64-bit limbs through the host clmul
-     * backend (gf/clmul.h): PCLMULQDQ / PMULL when the CPU has them, a
+     * backend (gf/clmul.h): PCLMULQDQ when the CPU has it, a
      * branch-free software kernel otherwise.  Bit-exact with
      * mulSchoolbook()/mulKaratsuba() — this is the *host performance*
      * path, while those model the paper's 32-bit datapath.

@@ -16,13 +16,14 @@
  * keeps flags correct across helper calls and across every exit
  * without a sync step.
  *
- * Every template carries the same guards the threaded fallback
- * (jit/backend_threaded.cc — the semantic reference) applies: block
- * budget at entry, bounds on every access, watch-limit on every store,
- * entry-table membership on every indirect branch.  Guard failures
- * jump to per-instruction deopt stubs emitted after each block, which
- * record (pc, block, k) and leave through the shared epilogue with
- * nothing committed for the faulting instruction.
+ * Every template carries the guards that keep it equal to Core::step(),
+ * the semantic reference: block budget at entry, bounds on every
+ * access, watch-limit on every store, entry-table membership on every
+ * indirect branch.  Guard failures jump to per-instruction deopt stubs
+ * emitted after each block, which record (pc, block, k) and leave
+ * through the shared epilogue with nothing committed for the faulting
+ * instruction, so step() re-executes it.  The dispatch differential
+ * suite checks the result against plain stepping.
  */
 
 #include <cstring>
@@ -851,14 +852,9 @@ struct Emitter
 
 } // namespace
 
-bool
+void
 emitX64(const CompiledProgram &cp, NativeCode &out)
 {
-#if !defined(__x86_64__)
-    (void)cp;
-    (void)out;
-    return false;
-#else
     Emitter e(cp);
     e.exit_label = e.a.newLabel();
     for (size_t i = 0; i < cp.blocks().size(); ++i)
@@ -883,9 +879,6 @@ emitX64(const CompiledProgram &cp, NativeCode &out)
     for (uint32_t bi = 0; bi < cp.blocks().size(); ++bi)
         out.entries[cp.blocks()[bi].first] = base + block_off[bi];
     out.enter = reinterpret_cast<const void *>(base + enter_off);
-    out.arch = "x86-64";
-    return true;
-#endif
 }
 
 } // namespace gfp::jit

@@ -1,20 +1,14 @@
 #include "jit/code_cache.h"
 
-#include "common/logging.h"
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
 #include <unistd.h>
-#define GFP_JIT_HAVE_MMAP 1
-#else
-#define GFP_JIT_HAVE_MMAP 0
-#endif
+
+#include "common/logging.h"
 
 namespace gfp::jit {
 
 CodeCache::CodeCache(size_t capacity)
 {
-#if GFP_JIT_HAVE_MMAP
     // Round up to whole pages so finalize() can mprotect exactly what
     // was mapped.
     const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
@@ -24,38 +18,26 @@ CodeCache::CodeCache(size_t capacity)
     GFP_ASSERT(p != MAP_FAILED, "JIT code cache mmap(%zu) failed",
                capacity_);
     base_ = static_cast<uint8_t *>(p);
-#else
-    (void)capacity;
-    GFP_FATAL("no executable-memory support on this platform");
-#endif
 }
 
 CodeCache::~CodeCache()
 {
-#if GFP_JIT_HAVE_MMAP
     if (base_ != nullptr)
         munmap(base_, capacity_);
-#endif
 }
 
 void
 CodeCache::finalize(size_t used)
 {
-#if GFP_JIT_HAVE_MMAP
     GFP_ASSERT(!executable_, "code cache finalized twice");
     GFP_ASSERT(used <= capacity_, "emitted %zu bytes into a %zu cache",
                used, capacity_);
     used_ = used;
     const int rc = mprotect(base_, capacity_, PROT_READ | PROT_EXEC);
     GFP_ASSERT(rc == 0, "mprotect(RX) failed on the JIT code cache");
-#if defined(__GNUC__) || defined(__clang__)
     __builtin___clear_cache(reinterpret_cast<char *>(base_),
                             reinterpret_cast<char *>(base_ + used_));
-#endif
     executable_ = true;
-#else
-    (void)used;
-#endif
 }
 
 } // namespace gfp::jit

@@ -2,12 +2,11 @@
  * @file
  * The mutable run state generated code works against.
  *
- * The native backend addresses these fields by fixed byte offsets (a
+ * The x86-64 templates address these fields by fixed byte offsets (a
  * pointer to the context rides in a reserved host register), so the
- * layout is pinned with static_asserts; the threaded fallback reads
- * the same struct through plain C++.  One context per core, refilled
- * by the driver before every entry — the compiled code itself is
- * immutable and shared across cores/threads.
+ * layout is pinned with static_asserts.  One context per core,
+ * refilled by the driver before every entry — the compiled code itself
+ * is immutable and shared across cores/threads.
  */
 
 #ifndef GFP_JIT_CONTEXT_H

@@ -86,8 +86,7 @@ CoreTranslation::run(Core &core, RunResult &res, uint64_t max_instrs)
     ctx_.budget = max_instrs - res.instrs;
     ctx_.exec_counts = exec_.data();
     ctx_.taken_counts = taken_.data();
-    ctx_.entries =
-        cp_->native() ? cp_->nativeCode().entries.data() : nullptr;
+    ctx_.entries = cp_->nativeCode().entries.data();
     ctx_.gf = tables;
     ctx_.flags[0] = fl.n;
     ctx_.flags[1] = fl.z;
@@ -180,11 +179,11 @@ makeCoreTranslation(std::shared_ptr<const CompiledProgram> cp)
 }
 
 void
-installTranslation(Machine &machine, const TranslateOptions &opts)
+installTranslation(Machine &machine)
 {
     Core &core = machine.core();
-    core.setTranslation(makeCoreTranslation(
-        translate(machine.program(), core.kind(), opts)));
+    core.setTranslation(
+        makeCoreTranslation(translate(machine.program(), core.kind())));
     core.setDispatchMode(DispatchMode::kTranslated);
 }
 

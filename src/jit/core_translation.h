@@ -10,12 +10,12 @@
  * per core, so translated dispatch needs no locks.
  *
  * Responsibilities, in entry order:
- *   1. gate the entry: pc must head a translated block, the code epoch
- *      must (re)validate against the compiled words, the GFAU config
- *      must be valid when the program uses GF ops, and there must be
- *      watchdog budget left;
- *   2. fill the JitContext and run the generated code (native or
- *      threaded — CompiledProgram::run chooses);
+ *   1. gate the entry: pc must head a translated block (none does on
+ *      a host without templates), the code epoch must (re)validate
+ *      against the compiled words, the GFAU config must be valid when
+ *      the program uses GF ops, and there must be watchdog budget
+ *      left;
+ *   2. fill the JitContext and run the generated x86-64 code;
  *   3. reconstruct architectural statistics: CycleStats via the linear
  *      addScaled identity over the block counters, the per-PC profile
  *      via bulk per-instruction replay, the deopted prefix per
@@ -86,7 +86,7 @@ makeCoreTranslation(std::shared_ptr<const CompiledProgram> cp);
 
 /** Translate @p machine's program for its core and switch the core to
  *  kTranslated dispatch over the result. */
-void installTranslation(Machine &machine, const TranslateOptions &opts = {});
+void installTranslation(Machine &machine);
 
 } // namespace gfp::jit
 

@@ -148,8 +148,8 @@ extern "C" uint64_t
 gfp_jit_gf32mul(uint32_t a, uint32_t b) noexcept
 {
     // The reduction stage is data-gated for gf32mul, so this is the
-    // pure carry-less product — served by the PCLMUL/PMULL backends
-    // (gf/clmul.h) when the host has them.  A 32x32 product has degree
+    // pure carry-less product — served by PCLMUL (gf/clmul.h) when
+    // the host has it.  A 32x32 product has degree
     // <= 62, so the whole result lands in the low word.
     uint64_t hi, lo;
     gfp::clmulWide(a, b, hi, lo);

@@ -14,8 +14,8 @@
  * register, so a "silently wrong field" reproduces the same wrong
  * answers the interpreter computes).  gf32mul needs no tables: its
  * reduction stage is data-gated, so it routes straight through the
- * carry-less multiply backends (gf/clmul.h — PCLMUL/PMULL when the
- * host has them).
+ * carry-less multiply backends (gf/clmul.h — PCLMUL when the host has
+ * it).
  *
  * The config cannot change while translated code runs — gfcfg is a
  * translation barrier and fault hooks force the stepping path — so the
@@ -55,8 +55,8 @@ struct JitGfTables
 
 } // namespace gfp::jit
 
-// C-ABI entry points the native backends call (and the threaded
-// fallback shares).  `t` is a JitGfTables built for the live config.
+// C-ABI entry points the x86-64 templates call.  `t` is a JitGfTables
+// built for the live config.
 extern "C" {
 uint32_t gfp_jit_gfmuls(const void *t, uint32_t a, uint32_t b) noexcept;
 uint32_t gfp_jit_gfsqs(const void *t, uint32_t a) noexcept;

@@ -13,12 +13,8 @@
  * multiplies these by the execution counters the generated code bumps
  * to reconstruct totals bit-identical to single stepping.
  *
- * Both backends consume this IR unchanged: the native x86-64 templates
- * (jit/backend_x64.cc) copy-patch one host-code template per
- * instruction, and the portable threaded-code fallback
- * (jit/backend_threaded.cc) interprets the same blocks with the same
- * guards when native emission is off (-DGFP_JIT=OFF) or the host
- * architecture has no backend.
+ * The x86-64 templates (jit/backend_x64.cc) consume this IR: one
+ * copy-patched host-code template per instruction.
  */
 
 #ifndef GFP_JIT_IR_H

@@ -9,13 +9,15 @@
 #include "jit/code_cache.h"
 #include "sim/cost_model.h"
 
-#ifndef GFP_JIT_NATIVE
-#define GFP_JIT_NATIVE 1
-#endif
-
 namespace gfp::jit {
 
 namespace {
+
+#if defined(__x86_64__)
+constexpr bool kHaveTemplates = true;
+#else
+constexpr bool kHaveTemplates = false;
+#endif
 
 bool
 isCondBranch(Op op)
@@ -72,34 +74,32 @@ CompiledProgram::summary() const
 void
 CompiledProgram::run(JitContext &ctx, uint32_t entry_word) const
 {
-    if (native_.enter != nullptr) {
-        auto enter = reinterpret_cast<void (*)(JitContext *, const void *)>(
-            const_cast<void *>(native_.enter));
-        enter(&ctx,
-              reinterpret_cast<const void *>(native_.entries[entry_word]));
-        return;
-    }
-    runThreaded(*this, ctx, entry_word);
+    auto enter = reinterpret_cast<void (*)(JitContext *, const void *)>(
+        const_cast<void *>(native_.enter));
+    enter(&ctx, reinterpret_cast<const void *>(native_.entries[entry_word]));
 }
 
 const char *
 nativeBackendName()
 {
-#if GFP_JIT_NATIVE && defined(__x86_64__)
-    return "x86-64";
-#else
-    return "threaded";
-#endif
+    return kHaveTemplates ? "x86-64" : "none";
 }
 
 std::shared_ptr<const CompiledProgram>
-translate(const Program &prog, CoreKind kind, const TranslateOptions &opts)
+translate(const Program &prog, CoreKind kind, const TranslateOptions &)
 {
     auto cp = std::make_shared<CompiledProgram>();
     cp->kind_ = kind;
     cp->words_ = prog.code;
     const uint32_t n = static_cast<uint32_t>(prog.code.size());
     cp->block_at_.assign(n, -1);
+
+    // No templates for this host: no blocks, so Core::run steps every
+    // instruction (bit-exact, only slower).
+    if (!kHaveTemplates) {
+        cp->policy_note_ = "no native backend on this host";
+        return cp;
+    }
 
     // Decode every word once; undecodable words are block barriers.
     std::vector<Instr> decoded(n);
@@ -203,12 +203,7 @@ translate(const Program &prog, CoreKind kind, const TranslateOptions &opts)
         cp->policy_note_ = "no translatable blocks";
         return cp;
     }
-
-    if (opts.backend == Backend::kAuto) {
-#if GFP_JIT_NATIVE && defined(__x86_64__)
-        emitX64(*cp, cp->native_);
-#endif
-    }
+    emitX64(*cp, cp->native_);
     return cp;
 }
 

@@ -8,9 +8,10 @@
  * slices the code into blocks at liberal leader points (every label,
  * every branch/call target, every word after a control transfer or
  * gfcfg), computes each block's static retire costs, and hands the
- * block IR (jit/ir.h) to a backend: copy-patched native templates on
- * x86-64, or the portable threaded-code-array interpreter everywhere
- * else (and always with -DGFP_JIT=OFF).
+ * block IR (jit/ir.h) to the x86-64 templates (jit/backend_x64.cc).
+ * On a host without them, translate() returns a translation with no
+ * blocks, so Core::run steps every instruction: bit-exact, only
+ * slower.
  *
  * Every structurally translatable block of every program is compiled;
  * no certificate is consulted.  The generated code carries every
@@ -40,23 +41,21 @@ namespace gfp::jit {
 
 class CodeCache;
 
-enum class Backend : uint8_t {
-    kAuto,     ///< native when built in and the host has one, else threaded
-    kThreaded, ///< force the portable threaded-code fallback
-};
-
 struct TranslateOptions
 {
-    Backend backend = Backend::kAuto;
-
     /** Unused by translate(): no certificate is checked, and memory
-     *  bounds are guarded at run time.  Kept for existing callers. */
+     *  bounds are guarded at run time.  Kept because perfbench sets
+     *  it. */
     size_t mem_bytes = 256 * 1024;
 
     /** Unused by translate(): the watchdog budget is enforced at run
-     *  time against Core::run's cap.  Kept for existing callers. */
+     *  time against Core::run's cap.  Kept because perfbench sets it. */
     uint64_t watchdog_max_instrs = 500'000'000;
 };
+
+/** The native backend on this host: "x86-64", or "none" where there
+ *  are no templates and translate() compiles nothing. */
+const char *nativeBackendName();
 
 /** Finalized native code: the W^X buffer plus its entry points. */
 struct NativeCode
@@ -71,8 +70,6 @@ struct NativeCode
     /** `void enter(JitContext *, const void *block_entry)` — saves
      *  host registers, loads the context, and jumps to the block. */
     const void *enter = nullptr;
-
-    const char *arch = nullptr; ///< "x86-64"
 };
 
 /**
@@ -102,11 +99,13 @@ class CompiledProgram
     /** Instructions covered by translated blocks. */
     uint32_t translatedWords() const { return translated_words_; }
 
+    /** True when blocks() were emitted as host code — always, unless
+     *  there are no blocks. */
     bool native() const { return native_.enter != nullptr; }
     const NativeCode &nativeCode() const { return native_; }
     const char *backendName() const
     {
-        return native_.enter ? native_.arch : "threaded";
+        return native() ? nativeBackendName() : "none";
     }
 
     /** Why nothing was translated (empty when something was). */
@@ -116,10 +115,10 @@ class CompiledProgram
     std::string summary() const;
 
     /**
-     * Execute from block head @p entry_word until the generated code
-     * exits (ctx.exit_reason says why).  The caller (CoreTranslation)
-     * owns validation, context setup, and the stats/profile
-     * reconstruction that follows.
+     * Execute the host code from block head @p entry_word until it
+     * exits (ctx.exit_reason says why).  Needs native(); the caller
+     * (CoreTranslation) owns validation, context setup, and the
+     * stats/profile reconstruction that follows.
      */
     void run(JitContext &ctx, uint32_t entry_word) const;
 
@@ -137,22 +136,14 @@ class CompiledProgram
     NativeCode native_;
 };
 
-/** Translate @p prog for a @p kind core under @p opts. */
+/** Translate @p prog for a @p kind core (@p opts is ignored). */
 std::shared_ptr<const CompiledProgram>
 translate(const Program &prog, CoreKind kind,
           const TranslateOptions &opts = {});
 
-/** Native backend this build would use on this host, or "threaded". */
-const char *nativeBackendName();
-
 /** The native backend (jit/backend_x64.cc): emit code for every block
- *  of @p cp into @p out; false when unsupported. */
-bool emitX64(const CompiledProgram &cp, NativeCode &out);
-
-/** The portable fallback: interpret the block IR under the same
- *  contract the native code follows (jit/backend_threaded.cc). */
-void runThreaded(const CompiledProgram &cp, JitContext &ctx,
-                 uint32_t entry_word);
+ *  of @p cp into @p out.  x86-64 hosts only. */
+void emitX64(const CompiledProgram &cp, NativeCode &out);
 
 } // namespace gfp::jit
 

@@ -460,24 +460,13 @@ Server::respond(const std::shared_ptr<Connection> &conn,
     h.aux_us = static_cast<uint32_t>(std::min(latency_us, 4e9));
     h.id = ex.id;
 
-    // Counters first, then the frame: a client that has received this
-    // response must find it already counted in a kStats snapshot.
-    metrics_.add(statusCounterName(status));
+    // Counters first, then the frame (respondRaw counts the status
+    // before it sends): a client that has received this response must
+    // find it already counted in a kStats snapshot.
     metrics_.observe(strprintf("class_%s_latency_us",
                                requestClassName(ex.cls)),
                      latency_us);
-
-    std::vector<uint8_t> frame;
-    frame.reserve(4 + kHeaderBytes + body.size());
-    appendResponseFrame(frame, h, body.data(), body.size());
-    {
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        if (!conn->write_failed.load() &&
-            !sendAll(conn->fd, frame.data(), frame.size())) {
-            conn->write_failed.store(true);
-            metrics_.add("write_failures_total");
-        }
-    }
+    respondRaw(conn, h, body.data(), body.size());
     if (trace_log_) {
         const double end_us =
             std::chrono::duration<double, std::micro>(

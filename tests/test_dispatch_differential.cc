@@ -1,20 +1,21 @@
 /**
  * @file
- * Differential proof that translated dispatch is bit-exact with the
- * plain single-stepping interpreter, on the native JIT backend when
- * the build has one and on the portable threaded-code backend forced
- * explicitly.  Every catalog kernel, every GF(2^m) field the GFAU
- * supports, seeded random programs biased toward hot instruction
- * pairs, branch-into-block corners, self-modifying code, and SEU bit
- * flips all run through each translated core and a plain core and
- * must produce identical registers, memory, traps, and full
- * CycleStats.
+ * Differential proof that translated dispatch — the x86-64 templates,
+ * with everything they do not cover stepped — is bit-exact with the
+ * plain single-stepping interpreter.  Every catalog kernel, every
+ * GF(2^m) field the GFAU supports, seeded random programs biased
+ * toward hot instruction pairs, branch-into-block corners,
+ * self-modifying code, SEU bit flips, and programs with no
+ * translatable block at all (what every program is on a host without
+ * templates) run through a translated core and a plain core and must
+ * produce identical registers, memory, traps, and full CycleStats.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,41 +75,28 @@ expectRunEq(const RunResult &a, const RunResult &b, const std::string &what)
     expectStatsEq(a.stats, b.stats, what);
 }
 
-/** The translated legs every differential workload runs against the
- *  plain interpreter: the auto-selected backend (native where GFP_JIT
- *  built one, threaded otherwise) and the portable threaded backend
- *  forced explicitly, so the block-IR reference path gets coverage
- *  even on native hosts. */
-struct Leg
-{
-    jit::Backend backend;
-    const char *tag;
-};
-
-const Leg kLegs[] = {
-    {jit::Backend::kAuto, "translated"},
-    {jit::Backend::kThreaded, "translated-threaded"},
-};
-
 /** A raw word program on its own 16 KiB memory + core, no Machine
  *  wrapper — lets the tests control every code byte (invalid words
- *  included).  Plain dispatch, or translated on @p leg's backend. */
+ *  included).  Plain dispatch, or translated when @p translated. */
 struct Rig
 {
     Memory mem;
     Core core;
+    jit::CoreTranslation *ct = nullptr; ///< set when translated
 
     Rig(const std::vector<uint32_t> &words, CoreKind kind,
-        const Leg *leg = nullptr)
+        bool translated = false)
         : mem(16 * 1024), core(mem, kind)
     {
         for (size_t i = 0; i < words.size(); ++i)
             mem.write32(static_cast<uint32_t>(4 * i), words[i]);
-        if (leg != nullptr) {
+        if (translated) {
             Program prog;
             prog.code = words;
-            core.setTranslation(jit::makeCoreTranslation(
-                jit::translate(prog, kind, {.backend = leg->backend})));
+            auto owned = std::make_unique<jit::CoreTranslation>(
+                jit::translate(prog, kind));
+            ct = owned.get();
+            core.setTranslation(std::move(owned));
             core.setDispatchMode(DispatchMode::kTranslated);
         }
         core.enablePredecode(static_cast<uint32_t>(4 * words.size()));
@@ -127,7 +115,7 @@ expectCoresEq(Rig &fast, Rig &slow, const std::string &what)
     expectStatsEq(fast.core.stats(), slow.core.stats(), what);
 }
 
-/** Run the same word program through every dispatcher and compare
+/** Run the same word program plain and translated and compare
  *  everything: end state, trap, per-class statistics. */
 void
 runDifferential(const std::vector<uint32_t> &words, CoreKind kind,
@@ -135,13 +123,10 @@ runDifferential(const std::vector<uint32_t> &words, CoreKind kind,
 {
     Rig slow(words, kind);
     RunResult rs = slow.core.run(max_instrs);
-    for (const Leg &leg : kLegs) {
-        Rig fast(words, kind, &leg);
-        RunResult rf = fast.core.run(max_instrs);
-        const std::string tagged = what + " [" + leg.tag + "]";
-        expectRunEq(rf, rs, tagged);
-        expectCoresEq(fast, slow, tagged);
-    }
+    Rig fast(words, kind, true);
+    RunResult rf = fast.core.run(max_instrs);
+    expectRunEq(rf, rs, what);
+    expectCoresEq(fast, slow, what);
 }
 
 uint32_t
@@ -172,20 +157,16 @@ TEST(DispatchDifferential, AllCatalogKernelsMatchPlainStepping)
         Machine slow(k.source, kind);
         slow.core().setDispatchMode(DispatchMode::kPlain);
         RunResult rs = slow.runToHalt(5'000'000);
-        for (const Leg &leg : kLegs) {
-            Machine fast(k.source, kind);
-            jit::installTranslation(fast, {.backend = leg.backend});
-            RunResult rf = fast.runToHalt(5'000'000);
-            const std::string what = k.name + " [" + leg.tag + "]";
-            expectRunEq(rf, rs, what);
-            for (unsigned r = 0; r < kNumRegs; ++r)
-                EXPECT_EQ(fast.core().reg(r), slow.core().reg(r))
-                    << what << " r" << r;
-            EXPECT_EQ(fast.core().pc(), slow.core().pc()) << what;
-            EXPECT_EQ(fast.memory().snapshot(),
-                      slow.memory().snapshot())
-                << what;
-        }
+        Machine fast(k.source, kind);
+        jit::installTranslation(fast);
+        RunResult rf = fast.runToHalt(5'000'000);
+        expectRunEq(rf, rs, k.name);
+        for (unsigned r = 0; r < kNumRegs; ++r)
+            EXPECT_EQ(fast.core().reg(r), slow.core().reg(r))
+                << k.name << " r" << r;
+        EXPECT_EQ(fast.core().pc(), slow.core().pc()) << k.name;
+        EXPECT_EQ(fast.memory().snapshot(), slow.memory().snapshot())
+            << k.name;
     }
 }
 
@@ -525,13 +506,11 @@ TEST(DispatchDifferential, SelfModifyingStoreDefusesExactly)
                     "self-modifying store");
 
     // And the rewritten program must have actually halted (not hit the
-    // watchdog) on every accelerated path: the store replaced the loop
+    // watchdog) on the translated path: the store replaced the loop
     // before it spun.
-    for (const Leg &leg : kLegs) {
-        Rig rig(words, CoreKind::kGfProcessor, &leg);
-        RunResult r = rig.core.run(1'000);
-        EXPECT_TRUE(r.halted) << leg.tag << ": " << r.trap.describe();
-    }
+    Rig rig(words, CoreKind::kGfProcessor, true);
+    RunResult r = rig.core.run(1'000);
+    EXPECT_TRUE(r.halted) << r.trap.describe();
 }
 
 TEST(DispatchDifferential, SeuFlipInCodeRegionDefusesExactly)
@@ -548,25 +527,21 @@ TEST(DispatchDifferential, SeuFlipInCodeRegionDefusesExactly)
         enc(Op::kHalt),             // 5
     };
     for (unsigned bit : {0u, 5u, 26u}) { // imm, rd2 field, opcode bits
-        for (const Leg &leg : kLegs) {
-            Rig fast(words, CoreKind::kGfProcessor, &leg);
-            Rig slow(words, CoreKind::kGfProcessor);
-            RunResult pf = fast.core.run(2);
-            RunResult ps = slow.core.run(2);
-            ASSERT_EQ(pf.trap.kind, TrapKind::kWatchdog);
-            ASSERT_EQ(ps.trap.kind, TrapKind::kWatchdog);
-            fast.core.injectFault(FaultTarget::kDataMemory,
-                                  4 * 3 + bit / 8, bit % 8);
-            slow.core.injectFault(FaultTarget::kDataMemory,
-                                  4 * 3 + bit / 8, bit % 8);
-            RunResult rf = fast.core.run(1'000);
-            RunResult rs = slow.core.run(1'000);
-            const std::string what = std::string("seu bit ") +
-                                     std::to_string(bit) + " [" +
-                                     leg.tag + "]";
-            expectRunEq(rf, rs, what);
-            expectCoresEq(fast, slow, what);
-        }
+        Rig fast(words, CoreKind::kGfProcessor, true);
+        Rig slow(words, CoreKind::kGfProcessor);
+        RunResult pf = fast.core.run(2);
+        RunResult ps = slow.core.run(2);
+        ASSERT_EQ(pf.trap.kind, TrapKind::kWatchdog);
+        ASSERT_EQ(ps.trap.kind, TrapKind::kWatchdog);
+        fast.core.injectFault(FaultTarget::kDataMemory, 4 * 3 + bit / 8,
+                              bit % 8);
+        slow.core.injectFault(FaultTarget::kDataMemory, 4 * 3 + bit / 8,
+                              bit % 8);
+        RunResult rf = fast.core.run(1'000);
+        RunResult rs = slow.core.run(1'000);
+        const std::string what = "seu bit " + std::to_string(bit);
+        expectRunEq(rf, rs, what);
+        expectCoresEq(fast, slow, what);
     }
 }
 
@@ -577,21 +552,17 @@ TEST(DispatchDifferential, SeuMakesWordUndecodable)
     // faulting word.
     std::vector<uint32_t> words = {
         enc(Op::kNop), enc(Op::kNop), enc(Op::kNop), enc(Op::kHalt)};
-    for (const Leg &leg : kLegs) {
-        Rig fast(words, CoreKind::kGfProcessor, &leg);
-        Rig slow(words, CoreKind::kGfProcessor);
-        (void)fast.core.run(1);
-        (void)slow.core.run(1);
-        fast.core.injectFault(FaultTarget::kDataMemory, 4 * 2 + 3, 7);
-        slow.core.injectFault(FaultTarget::kDataMemory, 4 * 2 + 3, 7);
-        RunResult rf = fast.core.run(1'000);
-        RunResult rs = slow.core.run(1'000);
-        const std::string what = std::string("undecodable [") +
-                                 leg.tag + "]";
-        EXPECT_EQ(rf.trap.kind, TrapKind::kIllegalInstruction) << what;
-        expectRunEq(rf, rs, what);
-        expectCoresEq(fast, slow, what);
-    }
+    Rig fast(words, CoreKind::kGfProcessor, true);
+    Rig slow(words, CoreKind::kGfProcessor);
+    (void)fast.core.run(1);
+    (void)slow.core.run(1);
+    fast.core.injectFault(FaultTarget::kDataMemory, 4 * 2 + 3, 7);
+    slow.core.injectFault(FaultTarget::kDataMemory, 4 * 2 + 3, 7);
+    RunResult rf = fast.core.run(1'000);
+    RunResult rs = slow.core.run(1'000);
+    EXPECT_EQ(rf.trap.kind, TrapKind::kIllegalInstruction);
+    expectRunEq(rf, rs, "undecodable");
+    expectCoresEq(fast, slow, "undecodable");
 }
 
 TEST(DispatchDifferential, ConfigCorruptionTrapsIdentically)
@@ -605,22 +576,18 @@ TEST(DispatchDifferential, ConfigCorruptionTrapsIdentically)
         enc(Op::kGfMuls, 2, 1, 1),       // 2
         enc(Op::kHalt),                  // 3
     };
-    for (const Leg &leg : kLegs) {
-        Rig fast(words, CoreKind::kGfProcessor, &leg);
-        Rig slow(words, CoreKind::kGfProcessor);
-        (void)fast.core.run(1);
-        (void)slow.core.run(1);
-        // m=8, flipping bit 57 yields m=10: invalid field width.
-        fast.core.injectFault(FaultTarget::kConfigReg, 0, 57);
-        slow.core.injectFault(FaultTarget::kConfigReg, 0, 57);
-        RunResult rf = fast.core.run(1'000);
-        RunResult rs = slow.core.run(1'000);
-        const std::string what = std::string("config corrupt [") +
-                                 leg.tag + "]";
-        EXPECT_EQ(rf.trap.kind, TrapKind::kGfConfigCorrupt) << what;
-        expectRunEq(rf, rs, what);
-        expectCoresEq(fast, slow, what);
-    }
+    Rig fast(words, CoreKind::kGfProcessor, true);
+    Rig slow(words, CoreKind::kGfProcessor);
+    (void)fast.core.run(1);
+    (void)slow.core.run(1);
+    // m=8, flipping bit 57 yields m=10: invalid field width.
+    fast.core.injectFault(FaultTarget::kConfigReg, 0, 57);
+    slow.core.injectFault(FaultTarget::kConfigReg, 0, 57);
+    RunResult rf = fast.core.run(1'000);
+    RunResult rs = slow.core.run(1'000);
+    EXPECT_EQ(rf.trap.kind, TrapKind::kGfConfigCorrupt);
+    expectRunEq(rf, rs, "config corrupt");
+    expectCoresEq(fast, slow, "config corrupt");
 }
 
 TEST(DispatchDifferential, RunawayLoopWatchdogsIdentically)
@@ -636,6 +603,45 @@ TEST(DispatchDifferential, RunawayLoopWatchdogsIdentically)
     for (uint64_t cap : {1u, 2u, 3u, 100u, 151u, 152u, 153u, 400u})
         runDifferential(words, CoreKind::kGfProcessor, cap,
                         "watchdog cap " + std::to_string(cap));
+}
+
+TEST(DispatchDifferential, NoTranslatableBlockStepsEveryInstruction)
+{
+    // translate() finds no block in these programs, so the translated
+    // core steps every instruction, as every program does on a host
+    // without templates.  With a valid field config at kCfgAddr the
+    // gfcfg program runs on through zeroed data (add r0, r0, r0) until
+    // pc reaches the config blob, which does not decode.
+    constexpr uint32_t kCfgAddr = 0x3800;
+    const uint32_t gfcfg = enc(Op::kGfCfg, 0, 0, 0, kCfgAddr);
+    const struct
+    {
+        const char *what;
+        CoreKind kind;
+        std::vector<uint32_t> words;
+        TrapKind trap;
+    } cases[] = {
+        {"gf ops on baseline", CoreKind::kBaseline,
+         {enc(Op::kGfMuls, 2, 1, 1), enc(Op::kGfAdds, 2, 1, 1)},
+         TrapKind::kGfOnBaseline},
+        {"undecodable words", CoreKind::kGfProcessor,
+         {0xff000001u, 0xff000002u}, TrapKind::kIllegalInstruction},
+        {"gfcfg into data", CoreKind::kGfProcessor, {gfcfg, gfcfg},
+         TrapKind::kIllegalInstruction},
+    };
+    for (const auto &c : cases) {
+        Rig slow(c.words, c.kind);
+        Rig fast(c.words, c.kind, true);
+        for (Rig *rig : {&slow, &fast})
+            rig->mem.write64(kCfgAddr, GFConfig::derive(8, 0x11d).pack());
+        RunResult rs = slow.core.run(100'000);
+        RunResult rf = fast.core.run(100'000);
+        EXPECT_EQ(rs.trap.kind, c.trap) << c.what;
+        expectRunEq(rf, rs, c.what);
+        expectCoresEq(fast, slow, c.what);
+        EXPECT_TRUE(fast.ct->compiled().blocks().empty()) << c.what;
+        EXPECT_EQ(fast.ct->entries(), 0u) << c.what;
+    }
 }
 
 TEST(DispatchDifferential, PcRunsOffIntoDataAndOutOfMemory)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the template JIT (src/jit): backend selection, eager
- * translation of programs no certificate covers, the
+ * Unit tests for the template JIT (src/jit): every serving program is
+ * translated to x86-64 code that a job enters (no silent fallback to
+ * stepping), eager translation of programs no certificate covers, the
  * deopt-to-interpreter edges (SMC, SEU, watchdog, traps) with their
  * entry/deopt accounting, and engine-level translated-dispatch parity.
  */
@@ -24,6 +25,7 @@
 #include "jit/translator.h"
 #include "kernels/batch_kernels.h"
 #include "kernels/wide_kernels.h"
+#include "service/request_classes.h"
 #include "sim/cpu.h"
 #include "sim/memory.h"
 
@@ -52,12 +54,15 @@ progFromWords(const std::vector<uint32_t> &words)
     return p;
 }
 
-// ----------------------- backends and selection ----------------------
+// ---------------------------- the backend ----------------------------
 
 TEST(JitBackend, NativeBackendNameIsKnown)
 {
     const std::string name = jit::nativeBackendName();
-    EXPECT_TRUE(name == "x86-64" || name == "threaded") << name;
+    EXPECT_TRUE(name == "x86-64" || name == "none") << name;
+#if defined(__x86_64__)
+    EXPECT_EQ(name, "x86-64");
+#endif
 }
 
 TEST(JitBackend, AutoBackendMatchesHost)
@@ -69,16 +74,25 @@ TEST(JitBackend, AutoBackendMatchesHost)
     EXPECT_GT(cp->translatedWords(), 0u);
     EXPECT_STREQ(cp->backendName(), jit::nativeBackendName());
     EXPECT_FALSE(cp->summary().empty());
-}
 
-TEST(JitBackend, ThreadedBackendCanBeForced)
-{
-    auto cp = jit::translate(
-        progFromWords({enc(Op::kMovi, 0, 0, 0, 7), enc(Op::kHalt)}),
-        CoreKind::kGfProcessor, {.backend = jit::Backend::kThreaded});
-    ASSERT_NE(cp, nullptr);
-    EXPECT_FALSE(cp->native());
-    EXPECT_STREQ(cp->backendName(), "threaded");
+    // No silent fallback to stepping: each of the nine serving
+    // programs is native, and one job on its engine's shared
+    // translation enters translated code.  Parity tests alone would
+    // pass with every instruction stepped.
+    service::EngineSet set({.threads = 1});
+    Job job;
+    job.max_instrs = 10'000'000;
+    for (unsigned i = 0; i < service::EngineSet::count(); ++i) {
+        const auto id = static_cast<service::EngineId>(i);
+        std::unique_ptr<Machine> machine;
+        set.engine(id).runOn(machine, job);
+        auto *ct = dynamic_cast<jit::CoreTranslation *>(
+            machine->core().translation());
+        ASSERT_NE(ct, nullptr) << service::engineName(id);
+        EXPECT_TRUE(ct->compiled().native())
+            << service::engineName(id) << ": " << ct->describe();
+        EXPECT_GT(ct->entries(), 0u) << service::engineName(id);
+    }
 }
 
 // ------------------- translation needs no certificate ----------------
@@ -118,24 +132,19 @@ struct JitRig
     Core core;
     jit::CoreTranslation *ct = nullptr;
 
-    JitRig(const std::vector<uint32_t> &words, CoreKind kind,
-           jit::Backend backend, size_t mem_bytes = 16 * 1024)
-        : mem(mem_bytes), core(mem, kind)
+    JitRig(const std::vector<uint32_t> &words, CoreKind kind)
+        : mem(16 * 1024), core(mem, kind)
     {
         for (size_t i = 0; i < words.size(); ++i)
             mem.write32(static_cast<uint32_t>(4 * i), words[i]);
-        auto cp = jit::translate(progFromWords(words), kind,
-                                 {.backend = backend});
-        auto owned = std::make_unique<jit::CoreTranslation>(cp);
+        auto owned = std::make_unique<jit::CoreTranslation>(
+            jit::translate(progFromWords(words), kind));
         ct = owned.get();
         core.setDispatchMode(DispatchMode::kTranslated);
         core.setTranslation(std::move(owned));
         core.enablePredecode(static_cast<uint32_t>(4 * words.size()));
     }
 };
-
-const jit::Backend kBackends[] = {jit::Backend::kAuto,
-                                  jit::Backend::kThreaded};
 
 void
 expectParity(const RunResult &a, const RunResult &b, Core &ca, Core &cb,
@@ -167,23 +176,21 @@ TEST(JitDeopt, TrapMidBlockDeoptsAndStaysBitExact)
         enc(Op::kStr, 0, 1, 0, 0),        // 3  out-of-range store
         enc(Op::kHalt),                   // 4
     };
-    for (jit::Backend backend : kBackends) {
-        JitRig rig(words, CoreKind::kGfProcessor, backend);
-        Memory smem(16 * 1024);
-        Core slow(smem, CoreKind::kGfProcessor);
-        for (size_t i = 0; i < words.size(); ++i)
-            smem.write32(static_cast<uint32_t>(4 * i), words[i]);
-        slow.setDispatchMode(DispatchMode::kPlain);
-        slow.enablePredecode(static_cast<uint32_t>(4 * words.size()));
+    JitRig rig(words, CoreKind::kGfProcessor);
+    Memory smem(16 * 1024);
+    Core slow(smem, CoreKind::kGfProcessor);
+    for (size_t i = 0; i < words.size(); ++i)
+        smem.write32(static_cast<uint32_t>(4 * i), words[i]);
+    slow.setDispatchMode(DispatchMode::kPlain);
+    slow.enablePredecode(static_cast<uint32_t>(4 * words.size()));
 
-        RunResult rf = rig.core.run(1'000);
-        RunResult rs = slow.run(1'000);
-        EXPECT_EQ(rf.trap.kind, TrapKind::kOutOfRangeAccess);
-        expectParity(rf, rs, rig.core, slow, "trap deopt");
-        EXPECT_GE(rig.ct->entries(), 1u);
-        EXPECT_EQ(rig.ct->deopts(), 1u);
-        EXPECT_FALSE(rig.ct->describe().empty());
-    }
+    RunResult rf = rig.core.run(1'000);
+    RunResult rs = slow.run(1'000);
+    EXPECT_EQ(rf.trap.kind, TrapKind::kOutOfRangeAccess);
+    expectParity(rf, rs, rig.core, slow, "trap deopt");
+    EXPECT_GE(rig.ct->entries(), 1u);
+    EXPECT_EQ(rig.ct->deopts(), 1u);
+    EXPECT_FALSE(rig.ct->describe().empty());
 }
 
 TEST(JitDeopt, SmcEpochBumpRevalidatesAndFallsBack)
@@ -202,21 +209,19 @@ TEST(JitDeopt, SmcEpochBumpRevalidatesAndFallsBack)
         enc(Op::kNop),
         enc(Op::kB, 0, 0, 0, -1), // spin unless overwritten
     };
-    for (jit::Backend backend : kBackends) {
-        JitRig rig(words, CoreKind::kGfProcessor, backend);
-        Memory smem(16 * 1024);
-        Core slow(smem, CoreKind::kGfProcessor);
-        for (size_t i = 0; i < words.size(); ++i)
-            smem.write32(static_cast<uint32_t>(4 * i), words[i]);
-        slow.setDispatchMode(DispatchMode::kPlain);
-        slow.enablePredecode(static_cast<uint32_t>(4 * words.size()));
+    JitRig rig(words, CoreKind::kGfProcessor);
+    Memory smem(16 * 1024);
+    Core slow(smem, CoreKind::kGfProcessor);
+    for (size_t i = 0; i < words.size(); ++i)
+        smem.write32(static_cast<uint32_t>(4 * i), words[i]);
+    slow.setDispatchMode(DispatchMode::kPlain);
+    slow.enablePredecode(static_cast<uint32_t>(4 * words.size()));
 
-        RunResult rf = rig.core.run(1'000);
-        RunResult rs = slow.run(1'000);
-        EXPECT_TRUE(rf.halted) << rf.trap.describe();
-        expectParity(rf, rs, rig.core, slow, "smc epoch");
-        EXPECT_GE(rig.ct->deopts(), 1u);
-    }
+    RunResult rf = rig.core.run(1'000);
+    RunResult rs = slow.run(1'000);
+    EXPECT_TRUE(rf.halted) << rf.trap.describe();
+    expectParity(rf, rs, rig.core, slow, "smc epoch");
+    EXPECT_GE(rig.ct->deopts(), 1u);
 }
 
 TEST(JitDeopt, SeuFlipOnTranslatedPageInvalidatesEntry)
@@ -233,25 +238,23 @@ TEST(JitDeopt, SeuFlipOnTranslatedPageInvalidatesEntry)
         enc(Op::kNop),              // 4
         enc(Op::kHalt),             // 5
     };
-    for (jit::Backend backend : kBackends) {
-        JitRig rig(words, CoreKind::kGfProcessor, backend);
-        Memory smem(16 * 1024);
-        Core slow(smem, CoreKind::kGfProcessor);
-        for (size_t i = 0; i < words.size(); ++i)
-            smem.write32(static_cast<uint32_t>(4 * i), words[i]);
-        slow.setDispatchMode(DispatchMode::kPlain);
-        slow.enablePredecode(static_cast<uint32_t>(4 * words.size()));
+    JitRig rig(words, CoreKind::kGfProcessor);
+    Memory smem(16 * 1024);
+    Core slow(smem, CoreKind::kGfProcessor);
+    for (size_t i = 0; i < words.size(); ++i)
+        smem.write32(static_cast<uint32_t>(4 * i), words[i]);
+    slow.setDispatchMode(DispatchMode::kPlain);
+    slow.enablePredecode(static_cast<uint32_t>(4 * words.size()));
 
-        RunResult pf = rig.core.run(2);
-        RunResult ps = slow.run(2);
-        ASSERT_EQ(pf.trap.kind, TrapKind::kWatchdog);
-        ASSERT_EQ(ps.trap.kind, TrapKind::kWatchdog);
-        rig.core.injectFault(FaultTarget::kDataMemory, 4 * 3, 0);
-        slow.injectFault(FaultTarget::kDataMemory, 4 * 3, 0);
-        RunResult rf = rig.core.run(1'000);
-        RunResult rs = slow.run(1'000);
-        expectParity(rf, rs, rig.core, slow, "seu on code page");
-    }
+    RunResult pf = rig.core.run(2);
+    RunResult ps = slow.run(2);
+    ASSERT_EQ(pf.trap.kind, TrapKind::kWatchdog);
+    ASSERT_EQ(ps.trap.kind, TrapKind::kWatchdog);
+    rig.core.injectFault(FaultTarget::kDataMemory, 4 * 3, 0);
+    slow.injectFault(FaultTarget::kDataMemory, 4 * 3, 0);
+    RunResult rf = rig.core.run(1'000);
+    RunResult rs = slow.run(1'000);
+    expectParity(rf, rs, rig.core, slow, "seu on code page");
 }
 
 TEST(JitDeopt, WatchdogCapInsideTranslatedLoop)
@@ -267,22 +270,19 @@ TEST(JitDeopt, WatchdogCapInsideTranslatedLoop)
         enc(Op::kBne, 0, 0, 0, -3),   // 3  loop to word 1
         enc(Op::kHalt),               // 4
     };
-    for (jit::Backend backend : kBackends) {
-        for (uint64_t cap : {1u, 2u, 3u, 4u, 5u, 300u, 601u, 602u, 5000u}) {
-            JitRig rig(words, CoreKind::kGfProcessor, backend);
-            Memory smem(16 * 1024);
-            Core slow(smem, CoreKind::kGfProcessor);
-            for (size_t i = 0; i < words.size(); ++i)
-                smem.write32(static_cast<uint32_t>(4 * i), words[i]);
-            slow.setDispatchMode(DispatchMode::kPlain);
-            slow.enablePredecode(
-                static_cast<uint32_t>(4 * words.size()));
+    for (uint64_t cap : {1u, 2u, 3u, 4u, 5u, 300u, 601u, 602u, 5000u}) {
+        JitRig rig(words, CoreKind::kGfProcessor);
+        Memory smem(16 * 1024);
+        Core slow(smem, CoreKind::kGfProcessor);
+        for (size_t i = 0; i < words.size(); ++i)
+            smem.write32(static_cast<uint32_t>(4 * i), words[i]);
+        slow.setDispatchMode(DispatchMode::kPlain);
+        slow.enablePredecode(static_cast<uint32_t>(4 * words.size()));
 
-            RunResult rf = rig.core.run(cap);
-            RunResult rs = slow.run(cap);
-            expectParity(rf, rs, rig.core, slow,
-                         "watchdog cap " + std::to_string(cap));
-        }
+        RunResult rf = rig.core.run(cap);
+        RunResult rs = slow.run(cap);
+        expectParity(rf, rs, rig.core, slow,
+                     "watchdog cap " + std::to_string(cap));
     }
 }
 
