@@ -5,17 +5,14 @@
  * throughput, AES, and simulator speed.  These characterize the
  * reproduction's own substrate (not the paper's silicon).
  *
- * On top of the usual console table, every result is mirrored into
- * BENCH_gf.json (path overridable via GFP_BENCH_JSON) in the same
- * uniform format the other benches use, so CI archives one artifact
- * shape for everything.
+ * JSON output is Google Benchmark's own, e.g.
+ *     microbench_gf --benchmark_out=BENCH_gf.json \
+ *         --benchmark_out_format=json
+ * and its context records the host's carry-less multiply backend
+ * (clmul_backend: pclmul or portable).
  */
 
 #include <benchmark/benchmark.h>
-
-#include <cstdlib>
-
-#include "bench_util.h"
 
 #include "coding/bch.h"
 #include "coding/channel.h"
@@ -187,33 +184,6 @@ BM_SimulatorThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatorThroughput);
 
-/** Console output as usual, plus every per-iteration time mirrored
- *  into the shared BenchJsonReporter format. */
-class JsonMirrorReporter : public benchmark::ConsoleReporter
-{
-  public:
-    explicit JsonMirrorReporter(bench::BenchJsonReporter &json)
-        : json_(json)
-    {
-    }
-
-    void
-    ReportRuns(const std::vector<Run> &runs) override
-    {
-        for (const Run &r : runs) {
-            if (r.run_type != Run::RT_Iteration || r.error_occurred)
-                continue;
-            json_.add(r.benchmark_name() + ".real_time",
-                      r.GetAdjustedRealTime(),
-                      benchmark::GetTimeUnitString(r.time_unit));
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-
-  private:
-    bench::BenchJsonReporter &json_;
-};
-
 } // namespace
 
 using namespace gfp;
@@ -224,13 +194,8 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    bench::BenchJsonReporter json("microbench_gf");
-    json.add(std::string("host.clmul_") + clmulBackend().name,
-             clmulBackend().accelerated ? 1 : 0, "flag");
-    JsonMirrorReporter reporter(json);
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    const char *path = std::getenv("GFP_BENCH_JSON");
-    json.writeTo(path ? path : "BENCH_gf.json");
+    benchmark::AddCustomContext("clmul_backend", clmulBackend().name);
+    benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;
 }

@@ -12,7 +12,7 @@
 #ifndef GFP_HWMODEL_SYNTHESIS_H
 #define GFP_HWMODEL_SYNTHESIS_H
 
-#include <string>
+#include <cmath>
 
 namespace gfp {
 
@@ -48,9 +48,12 @@ struct GfauSynthesis
     {
         return square.count * square.area_um2;
     }
+    /** Sum of Table 10's columns as printed, each array rounded to
+     *  whole um^2: 3193 + 1777 + 1005 = 5975. */
     double columnSumArea() const
     {
-        return multArrayArea() + squareArrayArea() + control_area_um2;
+        return std::round(multArrayArea()) + std::round(squareArrayArea()) +
+               control_area_um2;
     }
 };
 
@@ -155,11 +158,6 @@ struct Literature
     double paper_aes_throughput_mbps = 12.2;
     double paper_aes_pj_per_bit = 35.5;
 };
-
-/** Render a one-line "paper vs measured" row for reports. */
-std::string paperVsMeasuredRow(const std::string &label, double paper,
-                               double measured,
-                               const std::string &unit);
 
 } // namespace gfp
 

@@ -16,48 +16,51 @@ kernelCatalog()
     const unsigned n = 255, t = 8, two_t = 2 * t;
 
     std::vector<KernelSource> cat;
-    auto addk = [&](const char *name, std::string src) {
-        cat.push_back({name, std::move(src)});
+    auto gf = [&](const char *name, std::string src) {
+        cat.push_back({name, std::move(src), CoreKind::kGfProcessor});
+    };
+    auto base = [&](const char *name, std::string src) {
+        cat.push_back({name, std::move(src), CoreKind::kBaseline});
     };
 
-    addk("syndrome-gfcore", syndromeAsmGfcore(f8, n, two_t));
-    addk("syndrome-gfcore-lane1", syndromeAsmGfcoreLanes(f8, n, two_t, 1));
-    addk("syndrome-gfcore-lane2", syndromeAsmGfcoreLanes(f8, n, two_t, 2));
-    addk("syndrome-baseline", syndromeAsmBaseline(f8, n, two_t));
-    addk("bma-gfcore", bmaAsmGfcore(f8, two_t));
-    addk("bma-baseline", bmaAsmBaseline(f8, two_t));
-    addk("chien-gfcore", chienAsmGfcore(f8, n, t));
-    addk("chien-baseline", chienAsmBaseline(f8, n, t));
-    addk("forney-gfcore", forneyAsmGfcore(f8, two_t));
-    addk("forney-baseline", forneyAsmBaseline(f8, two_t));
-    addk("rs-encode-gfcore", rsEncodeAsmGfcore(f8, t));
-    addk("rs-encode-baseline", rsEncodeAsmBaseline(f8, t));
+    gf("syndrome-gfcore", syndromeAsmGfcore(f8, n, two_t));
+    gf("syndrome-gfcore-lane1", syndromeAsmGfcoreLanes(f8, n, two_t, 1));
+    gf("syndrome-gfcore-lane2", syndromeAsmGfcoreLanes(f8, n, two_t, 2));
+    base("syndrome-baseline", syndromeAsmBaseline(f8, n, two_t));
+    gf("bma-gfcore", bmaAsmGfcore(f8, two_t));
+    base("bma-baseline", bmaAsmBaseline(f8, two_t));
+    gf("chien-gfcore", chienAsmGfcore(f8, n, t));
+    base("chien-baseline", chienAsmBaseline(f8, n, t));
+    gf("forney-gfcore", forneyAsmGfcore(f8, two_t));
+    base("forney-baseline", forneyAsmBaseline(f8, two_t));
+    gf("rs-encode-gfcore", rsEncodeAsmGfcore(f8, t));
+    base("rs-encode-baseline", rsEncodeAsmBaseline(f8, t));
 
-    addk("aes-ark", aesArkAsm());
-    addk("aes-subbytes-gfcore", aesSubBytesAsmGfcore(false));
-    addk("aes-invsubbytes-gfcore", aesSubBytesAsmGfcore(true));
-    addk("aes-subbytes-baseline", aesSubBytesAsmBaseline(false));
-    addk("aes-shiftrows", aesShiftRowsAsm(false));
-    addk("aes-invshiftrows", aesShiftRowsAsm(true));
-    addk("aes-mixcol-gfcore", aesMixColAsmGfcore(false));
-    addk("aes-invmixcol-gfcore", aesMixColAsmGfcore(true));
-    addk("aes-mixcol-baseline", aesMixColAsmBaseline(false));
-    addk("aes-keyexpand-gfcore", aesKeyExpandAsmGfcore());
-    addk("aes-keyexpand-baseline", aesKeyExpandAsmBaseline());
-    addk("aes-block-gfcore", aesBlockAsmGfcore(false));
-    addk("aes-block-decrypt-gfcore", aesBlockAsmGfcore(true));
-    addk("aes-block-baseline", aesBlockAsmBaseline(false));
+    gf("aes-ark", aesArkAsm());
+    gf("aes-subbytes-gfcore", aesSubBytesAsmGfcore(false));
+    gf("aes-invsubbytes-gfcore", aesSubBytesAsmGfcore(true));
+    base("aes-subbytes-baseline", aesSubBytesAsmBaseline(false));
+    gf("aes-shiftrows", aesShiftRowsAsm(false));
+    gf("aes-invshiftrows", aesShiftRowsAsm(true));
+    gf("aes-mixcol-gfcore", aesMixColAsmGfcore(false));
+    gf("aes-invmixcol-gfcore", aesMixColAsmGfcore(true));
+    base("aes-mixcol-baseline", aesMixColAsmBaseline(false));
+    gf("aes-keyexpand-gfcore", aesKeyExpandAsmGfcore());
+    base("aes-keyexpand-baseline", aesKeyExpandAsmBaseline());
+    gf("aes-block-gfcore", aesBlockAsmGfcore(false));
+    gf("aes-block-decrypt-gfcore", aesBlockAsmGfcore(true));
+    base("aes-block-baseline", aesBlockAsmBaseline(false));
 
-    addk("mult233-direct", mult233DirectAsm());
-    addk("mult233-baseline", mult233BaselineAsm());
-    addk("mult233-karatsuba", mult233KaratsubaAsm());
-    addk("square233", square233Asm());
-    addk("inverse233", inverse233Asm(false));
-    addk("inverse233-karatsuba", inverse233Asm(true));
-    addk("point-double", pointDoubleAsm(false));
-    addk("point-add", pointAddAsm(false));
-    addk("scalar-mult", scalarMultAsm(false));
-    addk("scalar-mult-karatsuba", scalarMultAsm(true));
+    gf("mult233-direct", mult233DirectAsm());
+    base("mult233-baseline", mult233BaselineAsm());
+    gf("mult233-karatsuba", mult233KaratsubaAsm());
+    gf("square233", square233Asm());
+    gf("inverse233", inverse233Asm(false));
+    gf("inverse233-karatsuba", inverse233Asm(true));
+    gf("point-double", pointDoubleAsm(false));
+    gf("point-add", pointAddAsm(false));
+    gf("scalar-mult", scalarMultAsm(false));
+    gf("scalar-mult-karatsuba", scalarMultAsm(true));
 
     return cat;
 }

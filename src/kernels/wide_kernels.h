@@ -36,7 +36,7 @@
 namespace gfp {
 
 /** result = opa (x) opb, direct product.  The program also defines the
- *  labels fm_rearrange / fm_reduce so benches can attribute cycles to
+ *  labels fm_rearrange / fm_reduce so gfp-paper can attribute cycles to
  *  Table 7's three phases. */
 std::string mult233DirectAsm();
 

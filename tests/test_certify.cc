@@ -82,13 +82,10 @@ TEST(Certify, CatalogWcetBoundsSoundInAllDispatchModes)
         if (!cert.cost.bounded)
             continue;
         ++bounded;
-        CoreKind kind = k.name.find("baseline") != std::string::npos
-                            ? CoreKind::kBaseline
-                            : CoreKind::kGfProcessor;
         for (Dispatch d : {Dispatch::kTranslated, Dispatch::kPlain,
                            Dispatch::kNoPredecode}) {
             SCOPED_TRACE(k.name + " / " + dispatchName(d));
-            MeasuredRun r = measuredRun(k.source, kind, d);
+            MeasuredRun r = measuredRun(k.source, k.kind, d);
             EXPECT_TRUE(r.run.halted);
             EXPECT_LE(r.stats.instrs, cert.cost.instr_bound);
             EXPECT_LE(r.stats.cycles, cert.cost.cycle_bound);
@@ -115,11 +112,8 @@ TEST(Certify, CatalogTrapFreedomFloor)
         ProgramCertificate cert = certifyProgram(prog);
         if (cert.trap_free) {
             ++trap_free;
-            CoreKind kind = k.name.find("baseline") != std::string::npos
-                                ? CoreKind::kBaseline
-                                : CoreKind::kGfProcessor;
             MeasuredRun r =
-                measuredRun(k.source, kind, Dispatch::kTranslated);
+                measuredRun(k.source, k.kind, Dispatch::kTranslated);
             EXPECT_TRUE(r.run.ok());
         } else {
             EXPECT_FALSE(cert.caveats.empty())

@@ -151,13 +151,10 @@ TEST(DispatchDifferential, AllCatalogKernelsMatchPlainStepping)
     // both cores see identical data, and several kernels take early
     // exits or run full fixed-trip loops either way.
     for (const KernelSource &k : kernelCatalog()) {
-        CoreKind kind = k.name.find("baseline") != std::string::npos
-                            ? CoreKind::kBaseline
-                            : CoreKind::kGfProcessor;
-        Machine slow(k.source, kind);
+        Machine slow(k.source, k.kind);
         slow.core().setDispatchMode(DispatchMode::kPlain);
         RunResult rs = slow.runToHalt(5'000'000);
-        Machine fast(k.source, kind);
+        Machine fast(k.source, k.kind);
         jit::installTranslation(fast);
         RunResult rf = fast.runToHalt(5'000'000);
         expectRunEq(rf, rs, k.name);

@@ -97,7 +97,7 @@ TEST(Synthesis, Table10PrintedTotalDiscrepancy)
     // The published total (5760) is less than the column sum (5975);
     // we keep both and report the difference explicitly.
     GfauSynthesis g;
-    EXPECT_NEAR(g.columnSumArea(), 5975.4, 1.0);
+    EXPECT_EQ(g.columnSumArea(), 5975.0);
     EXPECT_EQ(g.total_area_um2, 5760.0);
 }
 
@@ -160,14 +160,6 @@ TEST(Synthesis, Table13EnergyGapVsAsic)
     double gap = lit.paper_aes_pj_per_bit / lit.zhang_aes.pj_per_bit;
     EXPECT_GT(gap, 5.0);
     EXPECT_LT(gap, 6.5);
-}
-
-TEST(Synthesis, PaperVsMeasuredRowRenders)
-{
-    std::string row = paperVsMeasuredRow("mult cycles", 599, 619, "cyc");
-    EXPECT_NE(row.find("599"), std::string::npos);
-    EXPECT_NE(row.find("619"), std::string::npos);
-    EXPECT_NE(row.find("1.03"), std::string::npos);
 }
 
 } // namespace

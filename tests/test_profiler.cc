@@ -98,13 +98,10 @@ profiledRun(const std::string &source, CoreKind kind, Dispatch d)
 TEST(Profiler, CatalogAttributionBalancesInAllDispatchModes)
 {
     for (const auto &k : kernelCatalog()) {
-        CoreKind kind = k.name.find("baseline") != std::string::npos
-                            ? CoreKind::kBaseline
-                            : CoreKind::kGfProcessor;
         for (Dispatch d : {Dispatch::kTranslated, Dispatch::kPlain,
                            Dispatch::kNoPredecode}) {
             SCOPED_TRACE(k.name + " / " + dispatchName(d));
-            ProfiledRun r = profiledRun(k.source, kind, d);
+            ProfiledRun r = profiledRun(k.source, k.kind, d);
             EXPECT_TRUE(r.run.halted);
             EXPECT_TRUE(r.stats.consistent());
             EXPECT_TRUE(r.profile.consistent());
@@ -128,13 +125,10 @@ TEST(Profiler, CatalogAttributionBalancesInAllDispatchModes)
 TEST(Profiler, TranslatedProfileIdenticalToPlainPerPc)
 {
     for (const auto &k : kernelCatalog()) {
-        CoreKind kind = k.name.find("baseline") != std::string::npos
-                            ? CoreKind::kBaseline
-                            : CoreKind::kGfProcessor;
         SCOPED_TRACE(k.name);
         ProfiledRun translated =
-            profiledRun(k.source, kind, Dispatch::kTranslated);
-        ProfiledRun plain = profiledRun(k.source, kind, Dispatch::kPlain);
+            profiledRun(k.source, k.kind, Dispatch::kTranslated);
+        ProfiledRun plain = profiledRun(k.source, k.kind, Dispatch::kPlain);
         auto a = translated.profile.nonZero();
         auto b = plain.profile.nonZero();
         ASSERT_EQ(a.size(), b.size());

@@ -38,6 +38,7 @@ tool_source() {
         gfp-loadgen) echo "tools/gfp_loadgen.cpp" ;;
         gfp-prof) echo "tools/gfp_prof.cpp" ;;
         gfp-lint) echo "tools/gfp_lint.cpp" ;;
+        gfp-paper) echo "tools/gfp_paper.cpp" ;;
         *) echo "" ;;
     esac
 }

@@ -5,8 +5,8 @@
  * Usage:
  *   gfp-prof [options] <kernel-name | file.s>
  *
- *   <kernel-name>       a catalog kernel (see --list); names containing
- *                       "baseline" run on the baseline core
+ *   <kernel-name>       a catalog kernel (see --list), run on the core
+ *                       the catalog names for it
  *   file.s              assemble and profile an assembly source file
  *   --list              print every catalog kernel name and exit
  *   --baseline          run a file.s on the baseline core
@@ -102,9 +102,7 @@ resolveTarget(const Cli &cli, std::string &name, std::string &source,
         if (k.name == cli.target) {
             name = k.name;
             source = k.source;
-            kind = k.name.find("baseline") != std::string::npos
-                       ? CoreKind::kBaseline
-                       : CoreKind::kGfProcessor;
+            kind = k.kind;
             return true;
         }
     }
