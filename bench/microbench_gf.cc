@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks for the host-side reference
  * libraries: GF(2^m) arithmetic, wide-field operations, codec
- * throughput, AES, and simulator speed.  These characterize the
- * reproduction's own substrate (not the paper's silicon).
+ * throughput, AES, simulator speed, and the GF table helper that
+ * translated code calls.  These characterize the reproduction's own
+ * substrate (not the paper's silicon).
  *
  * JSON output is Google Benchmark's own, e.g.
  *     microbench_gf --benchmark_out=BENCH_gf.json \
@@ -17,12 +18,14 @@
 #include "coding/bch.h"
 #include "coding/channel.h"
 #include "coding/rs.h"
+#include "common/bitops.h"
 #include "common/random.h"
 #include "crypto/aes.h"
 #include "crypto/ecc.h"
 #include "gf/binary_field.h"
 #include "gf/clmul.h"
 #include "gf/field.h"
+#include "jit/gf_tables.h"
 #include "kernels/aes_kernels.h"
 #include "sim/machine.h"
 
@@ -183,6 +186,36 @@ BM_SimulatorThroughput(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(instrs));
 }
 BENCHMARK(BM_SimulatorThroughput);
+
+void
+BM_JitGfMulsChain(benchmark::State &state)
+{
+    // The syndrome kernel's inner loop as translated code runs it:
+    // S = S * [alpha^1..alpha^4] ^ splat(R_i), one dependent
+    // gfp_jit_gfmuls call per received symbol, over 4 groups of a
+    // 255-symbol word.  Arg 1 indexes the mul table's rows by the
+    // fixed multiplier (four 256-byte rows), arg 0 by the accumulator
+    // (all 64 KiB).
+    const bool invariant_row = state.range(0) != 0;
+    const auto t = jit::sharedGfTables(GFConfig::derive(8, 0x11d));
+    const uint32_t alphas = 0x10080402; // alpha = x under 0x11d
+    Rng rng(1);
+    std::vector<uint32_t> rx(4 * 255);
+    for (uint32_t &r : rx)
+        r = splat(rng.nextByte());
+    for (auto _ : state) {
+        uint32_t s = 0;
+        for (uint32_t r : rx)
+            s = (invariant_row ? gfp_jit_gfmuls(t.get(), alphas, s)
+                               : gfp_jit_gfmuls(t.get(), s, alphas)) ^
+                r;
+        benchmark::DoNotOptimize(s);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() *
+                                                 rx.size()));
+    state.SetLabel(invariant_row ? "invariant row" : "accumulator row");
+}
+BENCHMARK(BM_JitGfMulsChain)->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -37,12 +37,6 @@
 
 namespace gfp {
 
-/** Registers read by @p in, as a bit mask (bit i = register i). */
-uint16_t regUses(const Instr &in);
-
-/** Registers written by @p in, as a bit mask. */
-uint16_t regDefs(const Instr &in);
-
 /** True for the GF ops whose result depends on the reduction matrix
  *  (gfmuls/gfinvs/gfsqs/gfpows).  gfadds is a pure XOR and gf32mul
  *  data-gates the reduction stage, so neither needs a configuration. */

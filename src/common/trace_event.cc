@@ -392,7 +392,7 @@ validateTraceEventJson(const std::string &json, std::string *error)
         return false;
     };
 
-    JsonCursor cur{json};
+    JsonCursor cur{json, 0, {}};
     cur.ws();
     if (cur.i >= json.size() || json[cur.i] != '{')
         return fail("root is not an object");

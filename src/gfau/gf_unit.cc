@@ -7,16 +7,25 @@
 
 namespace gfp {
 
-GFArithmeticUnit::GFArithmeticUnit()
+namespace {
+
+/** Power-on default: GF(2^8) with the conventional RS polynomial.
+ *  Derived once (derive() tests irreducibility), not on every reset. */
+const GFConfig &
+powerOnConfig()
 {
-    // Power-on default: GF(2^8) with the conventional RS polynomial.
-    cfg_ = GFConfig::derive(8, 0x11d);
+    static const GFConfig cfg = GFConfig::derive(8, 0x11d);
+    return cfg;
 }
+
+} // namespace
+
+GFArithmeticUnit::GFArithmeticUnit() : cfg_(powerOnConfig()) {}
 
 void
 GFArithmeticUnit::powerOnReset()
 {
-    cfg_ = GFConfig::derive(8, 0x11d);
+    cfg_ = powerOnConfig();
     resetStats();
 }
 

@@ -66,7 +66,7 @@ class AsmContext
     [[noreturn]] void err(int line, int col, const std::string &msg) const
     {
         if (diag_)
-            *diag_ = AsmDiagnostic{line, col, msg};
+            *diag_ = AsmDiagnostic{line, col, msg, {}};
         GFP_FATAL("assembly error, line %d, col %d: %s", line, col,
                   msg.c_str());
     }

@@ -151,6 +151,75 @@ isGfOp(Op op)
     }
 }
 
+uint16_t
+regUses(const Instr &in)
+{
+    auto m = [](unsigned r) { return static_cast<uint16_t>(1u << r); };
+    switch (in.op) {
+      // Three-register ALU / GF.
+      case Op::kAdd: case Op::kSub: case Op::kAnd: case Op::kOrr:
+      case Op::kEor: case Op::kLsl: case Op::kLsr: case Op::kAsr:
+      case Op::kMul:
+      case Op::kGfMuls: case Op::kGfPows: case Op::kGfAdds:
+      case Op::kGf32Mul:
+        return m(in.rs1) | m(in.rs2);
+      case Op::kMov: case Op::kGfInvs: case Op::kGfSqs:
+        return m(in.rs1);
+      case Op::kCmp:
+        return m(in.rs1) | m(in.rs2);
+      case Op::kCmpi:
+        return m(in.rs1);
+      // Immediate ALU reads rs1; movi reads nothing; movt reads rd.
+      case Op::kAddi: case Op::kSubi: case Op::kAndi: case Op::kOrri:
+      case Op::kEori: case Op::kLsli: case Op::kLsri: case Op::kAsri:
+        return m(in.rs1);
+      case Op::kMovi:
+        return 0;
+      case Op::kMovt:
+        return m(in.rd);
+      // Loads read the address registers; stores also read the data.
+      case Op::kLdr: case Op::kLdrb: case Op::kLdrh:
+        return m(in.rs1);
+      case Op::kLdrr: case Op::kLdrbr: case Op::kLdrhr:
+        return m(in.rs1) | m(in.rs2);
+      case Op::kStr: case Op::kStrb: case Op::kStrh:
+        return m(in.rd) | m(in.rs1);
+      case Op::kStrr: case Op::kStrbr: case Op::kStrhr:
+        return m(in.rd) | m(in.rs1) | m(in.rs2);
+      case Op::kJr:
+        return m(in.rs1);
+      case Op::kRet:
+        return m(kRegLr);
+      default:
+        return 0;
+    }
+}
+
+uint16_t
+regDefs(const Instr &in)
+{
+    auto m = [](unsigned r) { return static_cast<uint16_t>(1u << r); };
+    switch (in.op) {
+      case Op::kAdd: case Op::kSub: case Op::kAnd: case Op::kOrr:
+      case Op::kEor: case Op::kLsl: case Op::kLsr: case Op::kAsr:
+      case Op::kMul: case Op::kMov:
+      case Op::kAddi: case Op::kSubi: case Op::kAndi: case Op::kOrri:
+      case Op::kEori: case Op::kLsli: case Op::kLsri: case Op::kAsri:
+      case Op::kMovi: case Op::kMovt:
+      case Op::kLdr: case Op::kLdrb: case Op::kLdrh:
+      case Op::kLdrr: case Op::kLdrbr: case Op::kLdrhr:
+      case Op::kGfMuls: case Op::kGfInvs: case Op::kGfSqs:
+      case Op::kGfPows: case Op::kGfAdds:
+        return m(in.rd);
+      case Op::kGf32Mul:
+        return m(in.rd) | m(in.rd2);
+      case Op::kBl:
+        return m(kRegLr);
+      default:
+        return 0;
+    }
+}
+
 bool
 isPcRelBranch(Op op)
 {

@@ -148,6 +148,12 @@ constexpr unsigned kNumRegs = 16;
 constexpr unsigned kRegSp = 13;
 constexpr unsigned kRegLr = 14;
 
+/** Registers read by @p in, as a bit mask (bit i = register i). */
+uint16_t regUses(const Instr &in);
+
+/** Registers written by @p in, as a bit mask. */
+uint16_t regDefs(const Instr &in);
+
 } // namespace gfp
 
 #endif // GFP_ISA_ISA_H

@@ -16,6 +16,12 @@
  * keeps flags correct across helper calls and across every exit
  * without a sync step.
  *
+ * GF SIMD ops call the C helpers of jit/gf_tables.h with the shared
+ * table set for the live config.  A gfmuls passes the register the
+ * translator picked as the table row (Block::mul_row) first, so a loop
+ * that multiplies by a fixed operand reads four 256-byte rows instead
+ * of the whole 64 KiB table.
+ *
  * Every template carries the guards that keep it equal to Core::step(),
  * the semantic reference: block budget at entry, bounds on every
  * access, watch-limit on every store, entry-table membership on every
@@ -460,9 +466,10 @@ struct Emitter
         storeGuest(in.rd, 0);
     }
 
-    /** One body instruction (not a control-transfer terminator). */
+    /** One body instruction (not a control-transfer terminator);
+     *  @p mul_row is Block::mul_row's entry for it. */
     void
-    emitInstr(const Instr &in, size_t deopt)
+    emitInstr(const Instr &in, unsigned mul_row, size_t deopt)
     {
         switch (in.op) {
           case Op::kAdd:
@@ -560,8 +567,8 @@ struct Emitter
 
           case Op::kGfMuls:
             loadGfArg();
-            loadArg(6, in.rs1); // esi
-            loadArg(2, in.rs2); // edx
+            loadArg(6, mul_row); // esi = table row
+            loadArg(2, mul_row == in.rs1 ? in.rs2 : in.rs1); // edx
             callAbs(reinterpret_cast<const void *>(&gfp_jit_gfmuls));
             storeGuest(in.rd, 0);
             break;
@@ -704,7 +711,7 @@ struct Emitter
         for (uint32_t k = 0; k < body_len; ++k) {
             size_t deopt = a.newLabel();
             deopts.emplace_back(deopt, k);
-            emitInstr(b.body[k], deopt);
+            emitInstr(b.body[k], b.mul_row[k], deopt);
         }
 
         switch (b.term) {

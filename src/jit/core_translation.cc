@@ -17,15 +17,14 @@ CoreTranslation::CoreTranslation(std::shared_ptr<const CompiledProgram> cp)
 {
 }
 
-JitGfTables &
+const JitGfTables &
 CoreTranslation::tablesFor(const GFConfig &cfg)
 {
     const uint64_t key = cfg.pack();
-    for (auto &t : tables_)
-        if (t->valid && t->key == key)
+    for (const auto &t : tables_)
+        if (t->key == key)
             return *t;
-    tables_.push_back(std::make_unique<JitGfTables>());
-    tables_.back()->ensure(cfg);
+    tables_.push_back(sharedGfTables(cfg));
     return *tables_.back();
 }
 
@@ -65,7 +64,7 @@ CoreTranslation::run(Core &core, RunResult &res, uint64_t max_instrs)
     // GF helper tables must mirror the live configuration register.  An
     // invalid config means every GF op traps — the interpreter's
     // business, not ours.
-    JitGfTables *tables = nullptr;
+    const JitGfTables *tables = nullptr;
     if (cp_->usesGf()) {
         if (!core.gfau().configValid())
             return false;

@@ -4,10 +4,11 @@
  *
  * The CompiledProgram is immutable and shared across every core that
  * runs the program (the batch engine compiles once and installs one
- * CoreTranslation per worker core); all mutable run state — the
- * JitContext, the per-block execution/taken counters, the GF helper
- * tables, the code-epoch validation cache — lives here, one instance
- * per core, so translated dispatch needs no locks.
+ * CoreTranslation per worker core), and so are the GF helper tables
+ * (one set per field config, jit/gf_tables.h); all mutable run state —
+ * the JitContext, the per-block execution/taken counters, the
+ * code-epoch validation cache — lives here, one instance per core, so
+ * translated dispatch needs no locks.
  *
  * Responsibilities, in entry order:
  *   1. gate the entry: pc must head a translated block (none does on
@@ -57,14 +58,13 @@ class CoreTranslation final : public Translation
   private:
     std::shared_ptr<const CompiledProgram> cp_;
     JitContext ctx_;
-    /** Config-keyed table cache: kernels that reconfigure the GFAU
-     *  mid-run (AES alternates field and ring configs at 13 gfcfg
-     *  sites) must not rebuild the 64K-entry mul table on every
-     *  translated entry.  One ~64 KiB set per distinct packed config,
-     *  built once per core; lookup by key is a linear scan over the
-     *  handful a real kernel uses. */
-    std::vector<std::unique_ptr<JitGfTables>> tables_;
-    JitGfTables &tablesFor(const GFConfig &cfg);
+    /** The shared table sets this core has run under: kernels that
+     *  reconfigure the GFAU mid-run (AES alternates field and ring
+     *  configs at 13 gfcfg sites) find theirs here on every translated
+     *  entry without taking the registry's lock; lookup by key is a
+     *  linear scan over the handful a real kernel uses. */
+    std::vector<std::shared_ptr<const JitGfTables>> tables_;
+    const JitGfTables &tablesFor(const GFConfig &cfg);
     std::vector<uint64_t> exec_;
     std::vector<uint64_t> taken_;
 

@@ -1,6 +1,9 @@
 #include "jit/gf_tables.h"
 
 #include <bit>
+#include <cstring>
+#include <mutex>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "gf/clmul.h"
@@ -8,12 +11,9 @@
 
 namespace gfp::jit {
 
-void
-JitGfTables::ensure(const GFConfig &cfg)
+JitGfTables::JitGfTables(const GFConfig &cfg)
+    : key(cfg.pack()), mask(cfg.laneMask())
 {
-    const uint64_t k = cfg.pack();
-    if (valid && k == key)
-        return;
     GFP_ASSERT(cfg.valid(), "GF tables for an invalid config (m=%u)",
                cfg.m);
 
@@ -22,13 +22,25 @@ JitGfTables::ensure(const GFConfig &cfg)
     // advance the structural model's telemetry (header note).
     GFMultUnit mu;
     GFSquareUnit su;
-    for (unsigned a = 0; a < 256; ++a) {
-        sq[a] = su.square(static_cast<uint8_t>(a), cfg);
+
+    // Basis rows through the unit, every other row by bilinearity:
+    // row a = row (a without its lowest set bit) ^ row (that bit).
+    std::memset(mul[0], 0, sizeof mul[0]);
+    for (unsigned i = 0; i < 8; ++i)
         for (unsigned b = 0; b < 256; ++b)
-            mul[a][b] = mu.multiply(static_cast<uint8_t>(a),
-                                    static_cast<uint8_t>(b), cfg);
+            mul[1u << i][b] = mu.multiply(static_cast<uint8_t>(1u << i),
+                                          static_cast<uint8_t>(b), cfg);
+    for (unsigned a = 3; a < 256; ++a) {
+        const unsigned low = a & (0u - a);
+        if (low == a)
+            continue;
+        const uint8_t *rest = mul[a ^ low];
+        const uint8_t *bit = mul[low];
+        for (unsigned b = 0; b < 256; ++b)
+            mul[a][b] = rest[b] ^ bit[b];
     }
-    mask = cfg.laneMask();
+    for (unsigned a = 0; a < 256; ++a)
+        sq[a] = su.square(static_cast<uint8_t>(a), cfg);
 
     // Inverse: replay GFArithmeticUnit::inverseLane's Itoh-Tsujii
     // addition chain on e = m - 1 through the tables.  Every
@@ -59,9 +71,24 @@ JitGfTables::ensure(const GFConfig &cfg)
         }
         inv[a0] = sq[t];
     }
+}
 
-    key = k;
-    valid = true;
+std::shared_ptr<const JitGfTables>
+sharedGfTables(const GFConfig &cfg)
+{
+    static std::mutex mu;
+    static std::unordered_map<uint64_t, std::weak_ptr<const JitGfTables>>
+        live;
+
+    const uint64_t key = cfg.pack();
+    std::lock_guard<std::mutex> lock(mu);
+    if (auto it = live.find(key); it != live.end())
+        if (std::shared_ptr<const JitGfTables> t = it->second.lock())
+            return t;
+    std::erase_if(live, [](const auto &e) { return e.second.expired(); });
+    auto t = std::make_shared<const JitGfTables>(cfg);
+    live[key] = t;
+    return t;
 }
 
 } // namespace gfp::jit
@@ -79,13 +106,13 @@ tables(const void *t)
 } // namespace
 
 extern "C" uint32_t
-gfp_jit_gfmuls(const void *t, uint32_t a, uint32_t b) noexcept
+gfp_jit_gfmuls(const void *t, uint32_t row, uint32_t col) noexcept
 {
     const JitGfTables *g = tables(t);
     uint32_t out = 0;
     for (unsigned l = 0; l < 4; ++l)
-        out |= static_cast<uint32_t>(
-                   g->mul[(a >> (8 * l)) & 0xff][(b >> (8 * l)) & 0xff])
+        out |= static_cast<uint32_t>(g->mul[(row >> (8 * l)) & 0xff]
+                                           [(col >> (8 * l)) & 0xff])
                << (8 * l);
     return out;
 }

@@ -17,10 +17,23 @@
  * carry-less multiply backends (gf/clmul.h — PCLMUL when the host has
  * it).
  *
- * The config cannot change while translated code runs — gfcfg is a
- * translation barrier and fault hooks force the stepping path — so the
- * driver revalidates the key once per JIT entry.  Rebuilds cost ~64K
- * unit multiplies and happen once per configuration per core.
+ * The mul table is built from basis products.  GFMultUnit::multiply
+ * is reduce(clmul(a & mask, b & mask)): masking and the carry-less
+ * product are GF(2)-bilinear and the reduction is GF(2)-linear, for
+ * any P matrix, so row a is the XOR of the rows of a's set bits and
+ * only the eight unit rows mul[1 << i] run the unit.  The same algebra
+ * makes the table symmetric, mul[a][b] == mul[b][a], which is what
+ * lets the translator pick each multiply site's table row: the
+ * operand its block never writes, so a loop such as the syndrome
+ * kernel's `gfmuls r7, r7, r6` reads the four rows of r6's lanes
+ * (1 KiB) instead of walking all 64 KiB with the accumulator.
+ *
+ * A table set is immutable once built, and one set per packed config
+ * is shared by every core that runs under that config
+ * (sharedGfTables); it dies with its last holder.  The config cannot
+ * change while translated code runs — gfcfg is a translation barrier
+ * and fault hooks force the stepping path — so the driver revalidates
+ * the key once per JIT entry.
  *
  * Divergence note: GFAU Stats / unit-activation counters do NOT
  * advance for translated GF ops (same as attaching a trace hook forces
@@ -34,6 +47,7 @@
 #define GFP_JIT_GF_TABLES_H
 
 #include <cstdint>
+#include <memory>
 
 #include "gfau/config_reg.h"
 
@@ -41,24 +55,31 @@ namespace gfp::jit {
 
 struct JitGfTables
 {
-    uint64_t key = ~0ull; ///< GFConfig::pack() the tables were built for
-    bool valid = false;
-    uint8_t mask = 0xff;      ///< laneMask() of that config
-    uint8_t mul[256][256];    ///< GFMultUnit::multiply for every pair
-    uint8_t sq[256];          ///< GFSquareUnit::square
-    uint8_t inv[256];         ///< the Itoh-Tsujii network's output
+    /** Build every table for @p cfg, which must be valid() — the
+     *  driver never enters translated code otherwise. */
+    explicit JitGfTables(const GFConfig &cfg);
 
-    /** Rebuild for @p cfg unless already keyed to it.  @p cfg must be
-     *  valid() — the driver never enters translated code otherwise. */
-    void ensure(const GFConfig &cfg);
+    uint64_t key; ///< GFConfig::pack() of that config
+    uint8_t mask; ///< laneMask() of that config
+    /** GFMultUnit::multiply for every pair, indexed [row][col]. */
+    alignas(64) uint8_t mul[256][256];
+    uint8_t sq[256];  ///< GFSquareUnit::square
+    uint8_t inv[256]; ///< the Itoh-Tsujii network's output
 };
+
+/** The one table set for @p cfg's packed register value: built on the
+ *  first call, then returned to every caller while any holds it.
+ *  Thread-safe. */
+std::shared_ptr<const JitGfTables> sharedGfTables(const GFConfig &cfg);
 
 } // namespace gfp::jit
 
 // C-ABI entry points the x86-64 templates call.  `t` is a JitGfTables
 // built for the live config.
 extern "C" {
-uint32_t gfp_jit_gfmuls(const void *t, uint32_t a, uint32_t b) noexcept;
+/** Lane-wise mul[row][col]; the product is the same either way round,
+ *  but a row that stays fixed across calls keeps the lookups in 1 KiB. */
+uint32_t gfp_jit_gfmuls(const void *t, uint32_t row, uint32_t col) noexcept;
 uint32_t gfp_jit_gfsqs(const void *t, uint32_t a) noexcept;
 uint32_t gfp_jit_gfinvs(const void *t, uint32_t a) noexcept;
 uint32_t gfp_jit_gfpows(const void *t, uint32_t a, uint32_t e) noexcept;

@@ -14,7 +14,8 @@
  * to reconstruct totals bit-identical to single stepping.
  *
  * The x86-64 templates (jit/backend_x64.cc) consume this IR: one
- * copy-patched host-code template per instruction.
+ * copy-patched host-code template per instruction, with the operand
+ * order of each GF multiply's table lookup fixed by the translator.
  */
 
 #ifndef GFP_JIT_IR_H
@@ -66,6 +67,14 @@ struct Block
     /** Extra retired when the conditional terminator is taken: one
      *  branch cycle (kTakenBranchCycles - kDefaultCycles), zero ops. */
     CycleStats taken_extra;
+
+    /** Per body instruction: for a gfmuls, the source register whose
+     *  lanes index the rows of the shared mul table (the other source
+     *  indexes the columns; either order gives the same product).  It
+     *  is the source the block never writes, which stays fixed across
+     *  a loop's iterations, or rs2 when both or neither qualify.
+     *  Unused for other ops. */
+    std::vector<uint8_t> mul_row;
 
     bool has_gf = false; ///< any GF op in the body (gfadds included)
 

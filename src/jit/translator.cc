@@ -189,6 +189,21 @@ translate(const Program &prog, CoreKind kind, const TranslateOptions &)
         b.len = static_cast<uint32_t>(b.body.size());
         for (uint32_t k = 0; k < b.len; ++k)
             b.base.record(b.cls[k], b.cycles[k]);
+        // Table row per GF multiply: a source the block never writes
+        // is the same on every pass of a loop, so its four table rows
+        // stay in L1 while the other operand changes.
+        uint16_t written = 0;
+        for (const Instr &in : b.body)
+            written |= regDefs(in);
+        b.mul_row.assign(b.len, 0);
+        for (uint32_t k = 0; k < b.len; ++k) {
+            const Instr &in = b.body[k];
+            if (in.op != Op::kGfMuls)
+                continue;
+            const bool fixed1 = ((written >> in.rs1) & 1u) == 0;
+            const bool fixed2 = ((written >> in.rs2) & 1u) == 0;
+            b.mul_row[k] = fixed1 && !fixed2 ? in.rs1 : in.rs2;
+        }
         if (b.term == TermKind::kCondBranch) {
             b.taken_extra.cycles = kTakenBranchCycles - kDefaultCycles;
             b.taken_extra.branch_cycles = b.taken_extra.cycles;

@@ -213,9 +213,10 @@ TEST(Certify, ConfigCertificatesCoverGfKernels)
         if (!cert.configs.empty()) {
             ++with_configs;
             EXPECT_TRUE(cert.has_gf_ops) << k.name;
-            if (cert.trap_free)
+            if (cert.trap_free) {
                 for (const auto &c : cert.configs)
                     EXPECT_TRUE(c.trapFree()) << k.name;
+            }
         }
     }
     EXPECT_GT(with_configs, 0u);

@@ -140,8 +140,9 @@ TEST(Bch, DetectsBeyondTMostly)
         auto cw = code.encode(info);
         auto rx = inj.flipBits(cw, code.t() + 1);
         auto res = code.decode(rx);
-        if (res.ok)
+        if (res.ok) {
             EXPECT_TRUE(code.isCodeword(res.codeword));
+        }
     }
 }
 

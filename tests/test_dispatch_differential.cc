@@ -312,6 +312,86 @@ TEST(DispatchDifferential, EveryFieldConfigMatchesPlainAndGFField)
     EXPECT_EQ(fields, 69u);
 }
 
+// ----------------------- gfmuls operand forms -----------------------
+
+/**
+ * One loop block with every gfmuls operand form the translator's
+ * table-row choice (jit/ir.h Block::mul_row) tells apart: rd == rs1,
+ * rd == rs2 and rs1 == rs2, the BMA coefficient form `rd, r11, rb`, and
+ * a row operand the block rewrites after the multiply.  Translated must
+ * match plain under the power-on field and under P bits flipped
+ * mid-run, and the loop block must record the expected rows.
+ */
+TEST(DispatchDifferential, GfMulsOperandFormsMatchPlain)
+{
+    std::vector<uint32_t> words;
+    auto emit = [&](uint32_t w) { words.push_back(w); };
+    auto li = [&](unsigned rd, uint32_t v) {
+        emit(enc(Op::kMovi, rd, 0, 0, static_cast<int32_t>(v & 0xffff)));
+        emit(enc(Op::kMovt, rd, 0, 0, static_cast<int32_t>(v >> 16)));
+    };
+    li(1, 0x8e4d2b17);  // loop-invariant multiplier
+    li(2, 0x01020304);  // accumulator
+    li(6, 0x55aa33cc);
+    li(7, 0x0badf00d);
+    li(10, 0x13579bdf);
+    li(11, 0x1d3c5a79); // BMA coefficient
+    li(12, 0x0f0e0d0c);
+    li(13, 0x01010101); // byte splat
+    emit(enc(Op::kMovi, 3, 0, 0, 200));
+    const uint32_t loop = static_cast<uint32_t>(words.size());
+    emit(enc(Op::kSubi, 3, 3, 0, 1));
+    emit(enc(Op::kGfMuls, 2, 2, 1));   // rd == rs1; row r1
+    emit(enc(Op::kGfMuls, 5, 1, 2));   // row r1 (rs1)
+    emit(enc(Op::kGfMuls, 7, 1, 7));   // rd == rs2; row r1
+    emit(enc(Op::kGfMuls, 6, 6, 6));   // rs1 == rs2
+    emit(enc(Op::kMul, 8, 3, 13));     // rb = splat(counter)
+    emit(enc(Op::kGfMuls, 9, 11, 8));  // BMA form; row r11
+    emit(enc(Op::kGfMuls, 10, 10, 12)); // row r12, rewritten below
+    emit(enc(Op::kAddi, 12, 12, 0, 0x35));
+    emit(enc(Op::kGfAdds, 2, 2, 8));
+    emit(enc(Op::kEor, 7, 7, 9));
+    emit(enc(Op::kCmpi, 0, 3, 0, 0));
+    emit(enc(Op::kBne, 0, 0, 0,
+             static_cast<int32_t>(loop) -
+                 static_cast<int32_t>(words.size()) - 1));
+    emit(enc(Op::kHalt));
+
+    runDifferential(words, CoreKind::kGfProcessor, 100'000,
+                    "gfmuls forms");
+
+    Rig rig(words, CoreKind::kGfProcessor, true);
+    const int32_t bi = rig.ct->compiled().blockAt(loop);
+    ASSERT_GE(bi, 0);
+    const jit::Block &blk =
+        rig.ct->compiled().blocks()[static_cast<size_t>(bi)];
+    std::vector<unsigned> rows;
+    for (uint32_t k = 0; k < blk.len; ++k)
+        if (blk.body[k].op == Op::kGfMuls)
+            rows.push_back(blk.mul_row[k]);
+    EXPECT_EQ(rows, (std::vector<unsigned>{1, 1, 1, 6, 11, 12}));
+
+    // Same loop after an SEU in the P columns: the tables for the
+    // corrupted register must reproduce the unit's wrong products.
+    for (unsigned bit : {3u, 13u, 22u, 50u}) {
+        Rig fast(words, CoreKind::kGfProcessor, true);
+        Rig slow(words, CoreKind::kGfProcessor);
+        RunResult pf = fast.core.run(40);
+        RunResult ps = slow.core.run(40);
+        ASSERT_EQ(pf.trap.kind, TrapKind::kWatchdog);
+        ASSERT_EQ(ps.trap.kind, TrapKind::kWatchdog);
+        fast.core.injectFault(FaultTarget::kConfigReg, 0, bit);
+        slow.core.injectFault(FaultTarget::kConfigReg, 0, bit);
+        RunResult rf = fast.core.run(100'000);
+        RunResult rs = slow.core.run(100'000);
+        const std::string what = "gfmuls forms, P bit " + std::to_string(bit);
+        EXPECT_TRUE(rs.halted) << what;
+        expectRunEq(rf, rs, what);
+        expectCoresEq(fast, slow, what);
+        EXPECT_GT(fast.ct->entries(), 1u) << what;
+    }
+}
+
 // ----------------------- seeded random programs ----------------------
 
 /**

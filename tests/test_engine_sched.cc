@@ -152,13 +152,15 @@ TEST(EngineSched, SkewedCostsDoNotStallSiblings)
         EXPECT_EQ(parallel[j].trap.kind, TrapKind::kWatchdog) << j;
         EXPECT_TRUE(parallel[j].words.empty()) << j;
     }
-    for (size_t i = 1; i < jobs.size(); ++i)
-        if (parallel[i].ok())
+    for (size_t i = 1; i < jobs.size(); ++i) {
+        if (parallel[i].ok()) {
             EXPECT_EQ(parallel[i].word("acc"),
                       spinReference(kCheapReps + static_cast<uint32_t>(i),
                                     0xbeef0000 +
                                         static_cast<uint32_t>(i)))
                 << i;
+        }
+    }
 
     // No stall: the heavy job's worker is busy for ~250 job-lengths,
     // so some of its near siblings ran on another worker meanwhile.

@@ -136,8 +136,9 @@ TEST_P(FieldAxioms, ExhaustiveForSmallFields)
             EXPECT_EQ(f.mul(a, GFField::add(b, c)),
                       GFField::add(f.mul(a, b), f.mul(a, c)));
             EXPECT_EQ(f.sqr(a), f.mul(a, a));
-            if (a != 0)
+            if (a != 0) {
                 EXPECT_EQ(f.mul(a, f.inv(a)), 1);
+            }
         }
     }
 }
@@ -171,8 +172,9 @@ TEST(Field, LargerFieldsBasicSanity)
             GFElem b = rng.below(f.order());
             EXPECT_EQ(f.mul(a, b), f.mulCarryless(a, b));
             EXPECT_EQ(f.mul(a, b), f.mulTable(a, b));
-            if (a)
+            if (a) {
                 EXPECT_EQ(f.mul(a, f.inv(a)), 1);
+            }
         }
     }
 }

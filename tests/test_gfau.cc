@@ -308,5 +308,21 @@ TEST(Gfau, DefaultConfigIsGf256)
               f.mul(0x02, 0x8d));
 }
 
+TEST(Gfau, PowerOnResetRestoresDefaultConfigWithoutALoad)
+{
+    // Machine::fullReset runs this before every batch job: a loaded
+    // field and an SEU-corrupted register both give way to the
+    // power-on GF(2^8)/0x11d, and the reset itself loads nothing.
+    GFArithmeticUnit u;
+    u.configureField(5, 0x25);
+    u.injectConfigBitFlip(3);
+    u.simdMult(splat(0x03), splat(0x05));
+    u.powerOnReset();
+    EXPECT_EQ(u.config(), GFConfig::derive(8, 0x11d));
+    EXPECT_EQ(u.config().poly, 0x11du);
+    EXPECT_EQ(u.stats().config_loads, 0u);
+    EXPECT_EQ(u.stats().total(), 0u);
+}
+
 } // namespace
 } // namespace gfp

@@ -2,9 +2,11 @@
  * @file
  * Unit tests for the template JIT (src/jit): every serving program is
  * translated to x86-64 code that a job enters (no silent fallback to
- * stepping), eager translation of programs no certificate covers, the
- * deopt-to-interpreter edges (SMC, SEU, watchdog, traps) with their
- * entry/deopt accounting, and engine-level translated-dispatch parity.
+ * stepping), eager translation of programs no certificate covers, each
+ * GF multiply site's table row, the basis-built and shared GF tables,
+ * the deopt-to-interpreter edges (SMC, SEU, watchdog, traps) with
+ * their entry/deopt accounting, and engine-level translated-dispatch
+ * parity.
  */
 
 #include <gtest/gtest.h>
@@ -12,16 +14,21 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coding/channel.h"
 #include "coding/rs.h"
+#include "common/bitops.h"
 #include "common/random.h"
 #include "engine/batch_engine.h"
+#include "gf/polys.h"
+#include "gfau/gf_unit.h"
 #include "isa/assembler.h"
 #include "isa/encoding.h"
 #include "isa/program.h"
 #include "jit/core_translation.h"
+#include "jit/gf_tables.h"
 #include "jit/translator.h"
 #include "kernels/batch_kernels.h"
 #include "kernels/wide_kernels.h"
@@ -121,6 +128,154 @@ TEST(JitTranslate, CompilesProgramsTheCertifierDeclines)
         EXPECT_GT(p->translatedWords(), bp.program.code.size() / 2)
             << p->summary();
     }
+}
+
+TEST(JitTranslate, GfMulRowIsTheSourceTheBlockNeverWrites)
+{
+    // The syndrome loop's `gfmuls r7, r7, r6` reads the rows of the
+    // multiplier r6, not of the accumulator; every BMA coefficient
+    // multiply `gfmuls rd, r11, rb` (rb loaded in its block) reads
+    // r11's.
+    GFField f8(8);
+    const struct
+    {
+        BatchProgram bp;
+        unsigned rs1, rs2, row;
+    } cases[] = {
+        {syndromeBatchProgram(f8, 255, 16), 7, 6, 6},
+        {bmaBatchProgram(f8, 16), 11, 9, 11},
+    };
+    for (const auto &c : cases) {
+        auto cp = jit::translate(c.bp.program, c.bp.kind);
+        unsigned sites = 0;
+        for (const jit::Block &b : cp->blocks()) {
+            ASSERT_EQ(b.mul_row.size(), b.len);
+            for (uint32_t k = 0; k < b.len; ++k) {
+                const Instr &in = b.body[k];
+                if (in.op != Op::kGfMuls || in.rs1 != c.rs1 ||
+                    in.rs2 != c.rs2)
+                    continue;
+                EXPECT_EQ(b.mul_row[k], c.row) << "pc " << b.pcOf(k);
+                ++sites;
+            }
+        }
+        EXPECT_GT(sites, 0u) << cp->summary();
+    }
+}
+
+// ------------------------------ GF tables ----------------------------
+
+/** Every table entry against the GFAU it stands in for: mul against
+ *  GFMultUnit::multiply for all 65536 pairs, and symmetric, since the
+ *  translator passes a site's operands in either order; sq and inv
+ *  against the unit's square and inverse networks. */
+void
+expectTablesMatchUnit(const GFConfig &cfg, const std::string &what)
+{
+    const auto t = std::make_unique<jit::JitGfTables>(cfg);
+    EXPECT_EQ(t->key, cfg.pack()) << what;
+    GFMultUnit mu;
+    unsigned bad = 0;
+    for (unsigned a = 0; a < 256; ++a) {
+        for (unsigned b = 0; b < 256; ++b) {
+            const uint8_t want = mu.multiply(static_cast<uint8_t>(a),
+                                             static_cast<uint8_t>(b), cfg);
+            if ((t->mul[a][b] != want || t->mul[b][a] != want) &&
+                bad++ < 4)
+                ADD_FAILURE() << what << ": mul[" << a << "][" << b
+                              << "] = " << int(t->mul[a][b])
+                              << ", mul[b][a] = " << int(t->mul[b][a])
+                              << ", unit " << int(want);
+        }
+    }
+    EXPECT_EQ(bad, 0u) << what;
+    GFArithmeticUnit u;
+    u.loadConfig(cfg);
+    for (unsigned a = 0; a < 256; ++a) {
+        const uint32_t v = splat(static_cast<uint8_t>(a));
+        EXPECT_EQ(t->sq[a], lane(u.simdSquare(v), 0)) << what << " " << a;
+        EXPECT_EQ(t->inv[a], lane(u.simdInverse(v), 0))
+            << what << " " << a;
+    }
+}
+
+TEST(JitGfTables, BasisBuiltTablesMatchTheUnitForEveryFieldAndSeuConfig)
+{
+    unsigned fields = 0;
+    for (unsigned m = 2; m <= 8; ++m) {
+        for (uint32_t poly : irreduciblePolys(m)) {
+            expectTablesMatchUnit(GFConfig::derive(m, poly),
+                                  "GF(2^" + std::to_string(m) + ")/" +
+                                      std::to_string(poly));
+            ++fields;
+        }
+    }
+    EXPECT_EQ(fields, 69u);
+
+    // SEU-corrupted registers that keep a valid width: one to three P
+    // bits flipped by the injector, within the columns the reduction
+    // reads, so each flip changes the products — including bits above
+    // m that push products out of the field.
+    Rng rng(2017);
+    for (unsigned k = 0; k < 64; ++k) {
+        const unsigned m = 2 + static_cast<unsigned>(rng.below(7));
+        const std::vector<uint32_t> polys = irreduciblePolys(m);
+        GFArithmeticUnit u;
+        u.configureField(m, polys[rng.below(polys.size())]);
+        const unsigned flips = 1 + static_cast<unsigned>(rng.below(3));
+        for (unsigned i = 0; i < flips; ++i)
+            u.injectConfigBitFlip(
+                static_cast<unsigned>(rng.below(8 * (m - 1))));
+        ASSERT_TRUE(u.configValid());
+        expectTablesMatchUnit(u.config(), "seu config " + std::to_string(k));
+    }
+}
+
+/** A config no other test loads: GF(2^7) with one P bit flipped. */
+GFConfig
+privateConfig(unsigned bit)
+{
+    GFConfig cfg = GFConfig::derive(7, irreduciblePolys(7).front());
+    cfg.p_cols[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    cfg.poly = 0;
+    return cfg;
+}
+
+TEST(JitGfTables, OneSharedSetPerPackedConfigWhileHeld)
+{
+    const GFConfig a = privateConfig(3), b = privateConfig(12);
+    auto t1 = jit::sharedGfTables(a);
+    auto t2 = jit::sharedGfTables(a);
+    auto t3 = jit::sharedGfTables(b);
+    EXPECT_EQ(t1.get(), t2.get());
+    EXPECT_NE(t1.get(), t3.get());
+    EXPECT_EQ(t1->key, a.pack());
+    EXPECT_EQ(t3->key, b.pack());
+
+    const std::weak_ptr<const jit::JitGfTables> w = t1;
+    t1.reset();
+    EXPECT_EQ(jit::sharedGfTables(a).get(), t2.get());
+    t2.reset();
+    EXPECT_TRUE(w.expired()); // it died with its last holder
+
+    // The next caller gets a fresh set that only it holds: the
+    // registry keeps no reference of its own.
+    auto fresh = jit::sharedGfTables(a);
+    EXPECT_EQ(fresh.use_count(), 1);
+    EXPECT_EQ(fresh->key, a.pack());
+}
+
+TEST(JitGfTables, ConcurrentFirstUseBuildsOneSet)
+{
+    const GFConfig cfg = privateConfig(21);
+    std::vector<std::shared_ptr<const jit::JitGfTables>> got(4);
+    std::vector<std::thread> threads;
+    for (auto &g : got)
+        threads.emplace_back([&g, &cfg] { g = jit::sharedGfTables(cfg); });
+    for (std::thread &t : threads)
+        t.join();
+    for (const auto &g : got)
+        EXPECT_EQ(g.get(), got[0].get());
 }
 
 // ------------------------ deopt-to-interpreter -----------------------
@@ -323,6 +478,25 @@ TEST(JitEngine, TranslatedDispatchMatchesPlainBitForBit)
         EXPECT_EQ(rf[i].stats.cycles, rt[i].stats.cycles) << i;
         EXPECT_EQ(rf[i].stats.instrs, rt[i].stats.instrs) << i;
     }
+}
+
+TEST(JitEngine, CoresRunningUnderOneConfigShareOneTableSet)
+{
+    // Two cores, each with its own translation of the same gfmuls
+    // program, run under the same config: one table set serves both.
+    const GFConfig cfg = privateConfig(30);
+    const std::vector<uint32_t> words = {
+        enc(Op::kMovi, 1, 0, 0, 0x1234), enc(Op::kGfMuls, 2, 1, 1),
+        enc(Op::kHalt)};
+    JitRig r1(words, CoreKind::kGfProcessor);
+    JitRig r2(words, CoreKind::kGfProcessor);
+    for (JitRig *r : {&r1, &r2}) {
+        r->core.gfau().loadConfig(cfg);
+        ASSERT_TRUE(r->core.run(100).halted);
+        EXPECT_EQ(r->ct->entries(), 1u);
+    }
+    EXPECT_EQ(r1.core.reg(2), r2.core.reg(2));
+    EXPECT_EQ(jit::sharedGfTables(cfg).use_count(), 3); // 2 cores + us
 }
 
 TEST(JitEngine, TranslatedParallelMatchesSerial)

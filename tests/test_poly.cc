@@ -75,8 +75,9 @@ TEST_F(PolyTest, MulDegreeAndCommutativity)
         GFPoly b = randomPoly(rng, 10);
         GFPoly ab = a * b;
         EXPECT_EQ(ab, b * a);
-        if (!a.isZero() && !b.isZero())
+        if (!a.isZero() && !b.isZero()) {
             EXPECT_EQ(ab.degree(), a.degree() + b.degree());
+        }
     }
 }
 
