@@ -437,19 +437,6 @@ applyRel(AbsState &st, Rel rel)
     return true;
 }
 
-/// Dataflow masks, lint-compatible: bit 16 = "gfcfg executed".
-constexpr uint32_t kCfgBit = 1u << 16;
-constexpr uint32_t kAllDefined = (1u << 17) - 1;
-
-uint32_t
-defs32(const CfgNode &nd)
-{
-    uint32_t d = regDefs(nd.in);
-    if (nd.in.op == Op::kGfCfg)
-        d |= kCfgBit;
-    return d;
-}
-
 uint64_t
 ceilDiv(uint64_t a, uint64_t b)
 {
@@ -458,6 +445,9 @@ ceilDiv(uint64_t a, uint64_t b)
 
 /// Cap on tracked memory cells per state, to bound join/copy cost.
 constexpr size_t kMaxCells = 64;
+
+/// Give up enumerating a jump table wider than this many bytes.
+constexpr uint32_t kMaxTableBytes = 4096;
 
 /// Drop every tracked 4-byte cell overlapping the byte span [lo, hi].
 void
@@ -529,6 +519,12 @@ AbsInterp::flowNode(uint32_t idx, const AbsState &st, Emit &&emit) const
                        (a.kb.zeros & 0x80000000u)) {
                 v.iv = {a.iv.lo >> sh, a.iv.hi >> sh};
                 v.kb = kbShr(a.kb, sh);
+            } else if (a.iv.lo >= 0x80000000u) {
+                // Provably negative: the shift fills with ones and stays
+                // monotonic over the interval.
+                const uint32_t fill = sh ? ~(~0u >> sh) : 0;
+                v.iv = {(a.iv.lo >> sh) | fill, (a.iv.hi >> sh) | fill};
+                v.kb = {a.kb.zeros >> sh, (a.kb.ones >> sh) | fill};
             }
         } else if (!left && (!arith || a.iv.hi < 0x80000000u)) {
             v.iv = {0, a.iv.hi}; // right shift by unknown amount shrinks
@@ -677,10 +673,8 @@ AbsInterp::flowNode(uint32_t idx, const AbsState &st, Emit &&emit) const
             emit(nd.target, callee);
             if (cfg_.mayReturn(nd.target) && idx + 1 < n) {
                 AbsState ret = out;
-                auto it = may_def_.find(nd.target);
                 const uint32_t clobber =
-                    (it != may_def_.end() ? it->second : 0xffffu) |
-                    (1u << kRegLr);
+                    cfg_.mayDef(nd.target) | (1u << kRegLr);
                 auto rs = ret_summary_.find(nd.target);
                 for (unsigned r = 0; r < kNumRegs; ++r)
                     if (clobber & (1u << r))
@@ -688,8 +682,7 @@ AbsInterp::flowNode(uint32_t idx, const AbsState &st, Emit &&emit) const
                             (r != kRegLr && rs != ret_summary_.end())
                                 ? rs->second[r]
                                 : AbsValue::top();
-                auto mt = must_def_.find(nd.target);
-                if (mt != must_def_.end() && (mt->second & kCfgBit))
+                if (cfg_.mustDef(nd.target) & kCfgBit)
                     ret.cfg_loaded = true;
                 auto ss = store_summary_.find(nd.target);
                 if (ss == store_summary_.end() || ss->second.unbounded) {
@@ -771,99 +764,6 @@ AbsInterp::entryState() const
 }
 
 void
-AbsInterp::computeSummaries()
-{
-    // Same shape as the linter's summaries: greatest-fixpoint must-def
-    // (optimistic), least-fixpoint may-def, with bit 16 = gfcfg.
-    must_def_.clear();
-    may_def_.clear();
-    for (uint32_t e : cfg_.functionEntries()) {
-        must_def_[e] = kAllDefined;
-        may_def_[e] = 0;
-    }
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (auto &[entry, summary] : must_def_) {
-            std::vector<uint32_t> nodes = cfg_.functionNodes(entry);
-            std::map<uint32_t, uint32_t> out_state;
-            for (uint32_t idx : nodes)
-                out_state[idx] = kAllDefined;
-            std::map<uint32_t, std::vector<uint32_t>> preds;
-            for (uint32_t idx : nodes)
-                for (uint32_t s : cfg_.intraSucc(idx))
-                    if (out_state.count(s))
-                        preds[s].push_back(idx);
-            bool local = true;
-            while (local) {
-                local = false;
-                for (uint32_t idx : nodes) {
-                    uint32_t in = idx == entry ? 0u : kAllDefined;
-                    if (idx != entry)
-                        for (uint32_t p : preds[idx])
-                            in &= out_state[p];
-                    const CfgNode &nd = cfg_.node(idx);
-                    uint32_t o = in | defs32(nd);
-                    if (nd.is_call && nd.target_in_code) {
-                        auto it = must_def_.find(nd.target);
-                        if (it != must_def_.end())
-                            o |= it->second;
-                    }
-                    if (o != out_state[idx]) {
-                        out_state[idx] = o;
-                        local = true;
-                    }
-                }
-            }
-            uint32_t s = kAllDefined;
-            bool any_ret = false;
-            for (uint32_t idx : nodes) {
-                if (cfg_.node(idx).is_return) {
-                    s &= out_state[idx];
-                    any_ret = true;
-                }
-            }
-            if (!any_ret)
-                s = kAllDefined;
-            if (s != summary) {
-                summary = s;
-                changed = true;
-            }
-
-            uint32_t md = may_def_[entry];
-            for (uint32_t idx : nodes) {
-                const CfgNode &nd = cfg_.node(idx);
-                md |= defs32(nd);
-                if (nd.is_call && nd.target_in_code) {
-                    auto it = may_def_.find(nd.target);
-                    if (it != may_def_.end())
-                        md |= it->second;
-                }
-            }
-            if (md != may_def_[entry]) {
-                may_def_[entry] = md;
-                changed = true;
-            }
-        }
-    }
-}
-
-uint32_t
-AbsInterp::mayDef(uint32_t entry) const
-{
-    auto it = may_def_.find(entry);
-    return it != may_def_.end() ? it->second : ~0u;
-}
-
-bool
-AbsInterp::mustConfig(uint32_t entry) const
-{
-    auto it = must_def_.find(entry);
-    return it != must_def_.end() && (it->second & kCfgBit);
-}
-
-void
 AbsInterp::computeWidenPoints()
 {
     // Retreating-edge targets of a DFS over the static edge relation
@@ -911,6 +811,23 @@ AbsInterp::computeWidenPoints()
     }
 }
 
+bool
+AbsInterp::applyClamps(uint32_t idx, AbsState &st) const
+{
+    auto it = clamps_.find(idx);
+    if (it == clamps_.end())
+        return true;
+    for (const auto &[r, clamp] : it->second) {
+        Interval &iv = st.reg[r].iv;
+        iv.lo = std::max(iv.lo, clamp.lo);
+        iv.hi = std::min(iv.hi, clamp.hi);
+        if (iv.lo > iv.hi)
+            return false; // this inflow can't actually happen
+        st.reg[r].reduce();
+    }
+    return true;
+}
+
 void
 AbsInterp::runOnce()
 {
@@ -923,21 +840,6 @@ AbsInterp::runOnce()
     std::vector<unsigned> bumps(n, 0);
     std::deque<uint32_t> work;
     std::vector<bool> queued(n, false);
-
-    auto applyClamps = [&](uint32_t idx, AbsState &st) {
-        auto it = clamps_.find(idx);
-        if (it == clamps_.end())
-            return true;
-        for (const auto &[r, clamp] : it->second) {
-            Interval &iv = st.reg[r].iv;
-            iv.lo = std::max(iv.lo, clamp.lo);
-            iv.hi = std::min(iv.hi, clamp.hi);
-            if (iv.lo > iv.hi)
-                return false; // this inflow can't actually happen
-            st.reg[r].reduce();
-        }
-        return true;
-    };
 
     auto push = [&](uint32_t idx, AbsState st) {
         if (!st.reachable || idx >= n)
@@ -1053,21 +955,6 @@ AbsInterp::narrow()
         }
         std::reverse(rpo.begin(), rpo.end());
     }
-
-    auto applyClamps = [&](uint32_t idx, AbsState &st) {
-        auto it = clamps_.find(idx);
-        if (it == clamps_.end())
-            return true;
-        for (const auto &[r, clamp] : it->second) {
-            Interval &iv = st.reg[r].iv;
-            iv.lo = std::max(iv.lo, clamp.lo);
-            iv.hi = std::min(iv.hi, clamp.hi);
-            if (iv.lo > iv.hi)
-                return false;
-            st.reg[r].reduce();
-        }
-        return true;
-    };
 
     // Two decreasing sweeps: recompute each in-state as the plain join
     // of its predecessors' contributions (no widening).  Every
@@ -1315,6 +1202,30 @@ AbsInterp::extractRetSummaries() const
     return sum;
 }
 
+bool
+AbsInterp::summariesCover(
+    const std::map<uint32_t, StoreSummary> &got,
+    const std::map<uint32_t, std::array<AbsValue, kNumRegs>> &got_ret) const
+{
+    for (const auto &[e, s] : got) {
+        auto it = store_summary_.find(e);
+        if (it == store_summary_.end() || !s.coveredBy(it->second))
+            return false;
+    }
+    // Return-value coverage: an assumed entry must be at least as wide
+    // as what the solution's returns actually produce.  A missing
+    // assumed entry is top and covers anything.
+    for (const auto &[e, assumed] : ret_summary_) {
+        auto g = got_ret.find(e);
+        if (g == got_ret.end())
+            continue; // no reachable return under the new solution
+        for (unsigned r = 0; r < kNumRegs; ++r)
+            if (joinValue(assumed[r], g->second[r]) != assumed[r])
+                return false;
+    }
+    return true;
+}
+
 void
 AbsInterp::stabilizeStoreSummaries()
 {
@@ -1340,30 +1251,7 @@ AbsInterp::stabilizeStoreSummaries()
         collectMemAccesses();
         const auto got = extractStoreSummaries();
         const auto got_ret = extractRetSummaries();
-        bool covered = true;
-        for (const auto &[e, s] : got) {
-            auto it = store_summary_.find(e);
-            if (it == store_summary_.end() || !s.coveredBy(it->second)) {
-                covered = false;
-                break;
-            }
-        }
-        // Return-value coverage: an assumed entry must be at least as
-        // wide as what the solution's returns actually produce.  A
-        // missing assumed entry is top and covers anything.
-        for (auto it = ret_summary_.begin();
-             covered && it != ret_summary_.end(); ++it) {
-            auto g = got_ret.find(it->first);
-            if (g == got_ret.end())
-                continue; // no reachable return under the new solution
-            for (unsigned r = 0; r < kNumRegs; ++r)
-                if (joinValue(it->second[r], g->second[r]) !=
-                    it->second[r]) {
-                    covered = false;
-                    break;
-                }
-        }
-        if (covered)
+        if (summariesCover(got, got_ret))
             return;
         store_summary_ = got;
         ret_summary_ = got_ret;
@@ -1432,7 +1320,7 @@ AbsInterp::refineIndirectJumps()
                                    });
                 }
                 const uint64_t span = addr.isTop() ? ~0ull : addr.width();
-                if (span <= opts_.max_table_bytes &&
+                if (span <= kMaxTableBytes &&
                     addr.lo >= prog.data_base &&
                     uint64_t{addr.hi} + 4 <= image_end &&
                     !storesMayTouch(addr.lo,
@@ -1472,8 +1360,8 @@ AbsInterp::refineIndirectJumps()
     }
 
     if (any) {
-        // Edges changed: structure-derived inputs must be rebuilt.
-        computeSummaries();
+        // Edges changed: the widening points must be rebuilt (the CFG
+        // rebuilt its own function summaries).
         computeWidenPoints();
     }
 }
@@ -1550,6 +1438,140 @@ computeDominators(const ControlFlowGraph &cfg, uint32_t entry,
         }
     }
     return d;
+}
+
+/// soleDef() results that name no loop member.
+constexpr uint32_t kNoDef = ~0u;
+constexpr uint32_t kManyDefs = ~0u - 1;
+
+/// Narrow the clamp for register @p r in @p acc by @p clamp, or install
+/// it; an empty intersection keeps the old clamp.
+void
+intersectClamp(std::map<int, Interval> &acc, int r, Interval clamp)
+{
+    auto [it, fresh] = acc.try_emplace(r, clamp);
+    if (fresh)
+        return;
+    const uint32_t lo = std::max(it->second.lo, clamp.lo);
+    const uint32_t hi = std::min(it->second.hi, clamp.hi);
+    if (lo <= hi)
+        it->second = {lo, hi};
+}
+
+/// A loop's proven trip count, and when the guard tests the post-step
+/// value, the range the induction value keeps at the head.
+struct TripCount
+{
+    bool ok = false;
+    uint64_t visits = 0;     ///< bound on head visits
+    Interval clamp;
+    bool have_clamp = false;
+};
+
+/**
+ * Head visits of a loop whose induction value enters in @p C, moves by
+ * @p step (nonzero) per iteration, and continues while "value @p cont
+ * R".  @p post: the guard tests the value after the step.
+ */
+TripCount
+tripCount(Rel cont, Interval C, Interval R, int64_t step, bool post)
+{
+    TripCount t;
+    const uint64_t s_abs = step > 0 ? static_cast<uint64_t>(step)
+                                    : static_cast<uint64_t>(-step);
+
+    // Signed relations demand both sides provably non-negative; then
+    // they coincide with the unsigned ones under a 2^31 value ceiling.
+    Rel cn = cont;
+    uint64_t limit = kTwo32;
+    switch (cn) {
+      case Rel::kSlt: case Rel::kSle: case Rel::kSgt: case Rel::kSge:
+        if (C.hi >= 0x80000000u || R.hi >= 0x80000000u)
+            return t;
+        limit = uint64_t{1} << 31;
+        switch (cn) {
+          case Rel::kSlt: cn = Rel::kUlt; break;
+          case Rel::kSle: cn = Rel::kUle; break;
+          case Rel::kSgt: cn = Rel::kUgt; break;
+          default:        cn = Rel::kUge; break;
+        }
+        break;
+      default:
+        break;
+    }
+
+    switch (cn) {
+      case Rel::kNe: {
+        // Exact-hit exit: needs constant endpoints and a step that
+        // divides the distance.
+        if (!R.isConst() || !C.isConst())
+            return t;
+        const uint64_t c = C.lo, k = R.lo;
+        if (step < 0) {
+            if (c < k + (post ? 1 : 0) || (c - k) % s_abs)
+                return t;
+            t.visits = (c - k) / s_abs + (post ? 0 : 1);
+            t.clamp = post ? Interval{static_cast<uint32_t>(k + s_abs),
+                                      static_cast<uint32_t>(c)}
+                           : Interval{static_cast<uint32_t>(k),
+                                      static_cast<uint32_t>(c)};
+        } else {
+            if (k < c + (post ? 1 : 0) || (k - c) % s_abs)
+                return t;
+            t.visits = (k - c) / s_abs + (post ? 0 : 1);
+            t.clamp = post ? Interval{static_cast<uint32_t>(c),
+                                      static_cast<uint32_t>(k - s_abs)}
+                           : Interval{static_cast<uint32_t>(c),
+                                      static_cast<uint32_t>(k)};
+        }
+        t.ok = t.have_clamp = true;
+        return t;
+      }
+      case Rel::kUlt: case Rel::kUle: {
+        if (step < 0)
+            return t;
+        uint64_t k = R.hi;
+        if (cn == Rel::kUle) {
+            if (k + 1 >= limit)
+                return t; // "<= max": never exits here
+            k += 1;
+        }
+        // Continue while v < k.  No-wrap: the largest value ever taken
+        // is k - 1 + step.
+        if (k + s_abs > limit)
+            return t;
+        const uint64_t trips = C.lo < k ? ceilDiv(k - C.lo, s_abs) : 0;
+        t.visits = post ? std::max<uint64_t>(1, trips) : trips + 1;
+        if (k >= 1) {
+            t.clamp = {C.lo, std::max(C.hi, static_cast<uint32_t>(k - 1))};
+            t.have_clamp = post;
+        }
+        t.ok = true;
+        return t;
+      }
+      case Rel::kUgt: case Rel::kUge: {
+        if (step > 0)
+            return t;
+        uint64_t k = R.lo;
+        if (cn == Rel::kUgt) {
+            if (k + 1 >= limit)
+                return t; // "> max": infeasible to stay
+            k += 1;
+        }
+        // Continue while v >= k ("k == 0": never exits here).  No-wrap:
+        // the smallest value ever taken is k - step.
+        if (k == 0 || k < s_abs)
+            return t;
+        const uint64_t trips = C.hi >= k ? ceilDiv(C.hi - k + 1, s_abs) : 0;
+        t.visits = post ? std::max<uint64_t>(1, trips) : trips + 1;
+        t.clamp = {std::min(C.lo, static_cast<uint32_t>(k)), C.hi};
+        t.have_clamp = post;
+        t.ok = true;
+        return t;
+      }
+      default:
+        return t;
+    }
 }
 
 } // namespace
@@ -1724,13 +1746,44 @@ AbsInterp::inferLoopBounds()
                 return;
             }
 
-            bool have = false;
-            uint64_t best = 0;
-            std::string best_desc;
-            int best_reg = -1;
-            uint32_t best_guard = ~0u;
-            std::map<int, Interval> clamp_acc;
+            // The one loop member that defines r, counting what an
+            // in-loop call may define: kNoDef when no member does,
+            // kManyDefs when more than one does or a call may.
+            auto soleDef = [&](int r) {
+                uint32_t def = kNoDef;
+                for (uint32_t mi : L.members) {
+                    const CfgNode &dn = cfg_.node(mi);
+                    if (!dn.valid)
+                        continue;
+                    uint32_t d32 = defs32(dn);
+                    if (dn.is_call)
+                        d32 |= dn.target_in_code ? cfg_.mayDef(dn.target)
+                                                 : 0xffffu;
+                    if (!(d32 & (1u << r)))
+                        continue;
+                    if (def != kNoDef || dn.is_call)
+                        return kManyDefs;
+                    def = mi;
+                }
+                return def;
+            };
+            auto dominatesBackEdges = [&](uint32_t v) {
+                for (uint32_t b : L.back_sources)
+                    if (!dom.dominates(v, b))
+                        return false;
+                return true;
+            };
 
+            // Exit guards: conditional branches outside any nested loop
+            // with exactly one out-edge in the loop, testing flags from
+            // a tracked cmp/cmpi.  `cont` is the relation under which
+            // the loop continues.
+            struct ExitGuard
+            {
+                uint32_t idx;
+                Rel cont;
+            };
+            std::vector<ExitGuard> guards;
             for (uint32_t g : L.members) {
                 const CfgNode &gn = cfg_.node(g);
                 if (!gn.valid || nested.count(g))
@@ -1742,12 +1795,32 @@ AbsInterp::inferLoopBounds()
                     gn.target_in_code && mem.count(gn.target);
                 const bool f_in = (g + 1 < n) && mem.count(g + 1);
                 if (t_in == f_in)
-                    continue; // not an exit guard
-                const Rel cont = t_in ? rel : negateRel(rel);
-                const AbsState &gs = in_[g];
-                if (!gs.reachable || gs.cmp_lhs < 0)
                     continue;
+                if (!in_[g].reachable || in_[g].cmp_lhs < 0)
+                    continue;
+                guards.push_back({g, t_in ? rel : negateRel(rel)});
+            }
 
+            bool have = false;
+            uint64_t best = 0;
+            std::string best_desc;
+            int best_reg = -1;
+            uint32_t best_guard = ~0u;
+            std::map<int, Interval> clamp_acc;
+            auto consider = [&](uint64_t visits, int r, uint32_t g,
+                                std::string desc) {
+                if (!have || visits < best) {
+                    best = visits;
+                    best_reg = r;
+                    best_guard = g;
+                    best_desc = std::move(desc);
+                }
+                have = true;
+            };
+
+            for (const ExitGuard &eg : guards) {
+                const uint32_t g = eg.idx;
+                const AbsState &gs = in_[g];
                 struct Orient
                 {
                     int ivr;
@@ -1756,37 +1829,20 @@ AbsInterp::inferLoopBounds()
                     uint32_t k;
                 };
                 std::vector<Orient> orients;
-                orients.push_back({gs.cmp_lhs, cont, gs.cmp_rhs_reg,
+                orients.push_back({gs.cmp_lhs, eg.cont, gs.cmp_rhs_reg,
                                    gs.cmp_rhs_k});
                 if (gs.cmp_rhs_reg >= 0)
                     orients.push_back(
-                        {gs.cmp_rhs_reg, swapRel(cont), gs.cmp_lhs, 0});
+                        {gs.cmp_rhs_reg, swapRel(eg.cont), gs.cmp_lhs, 0});
 
                 for (const Orient &o : orients) {
                     const int r = o.ivr;
-                    // Exactly one in-loop definition of r, and it is
-                    // an affine step (addi/subi r, r, #imm) outside
-                    // any nested loop.
-                    uint32_t def = ~0u;
-                    bool ok = true;
-                    for (uint32_t mi : L.members) {
-                        const CfgNode &dn = cfg_.node(mi);
-                        if (!dn.valid)
-                            continue;
-                        uint32_t d32 = defs32(dn);
-                        if (dn.is_call)
-                            d32 |= dn.target_in_code
-                                       ? mayDef(dn.target)
-                                       : 0xffffu;
-                        if (!(d32 & (1u << r)))
-                            continue;
-                        if (def != ~0u || dn.is_call) {
-                            ok = false;
-                            break;
-                        }
-                        def = mi;
-                    }
-                    if (!ok || def == ~0u || nested.count(def))
+                    // Exactly one in-loop definition of r, and it is an
+                    // affine step (addi/subi r, r, #imm) outside any
+                    // nested loop.
+                    const uint32_t def = soleDef(r);
+                    if (def == kNoDef || def == kManyDefs ||
+                        nested.count(def))
                         continue;
                     const Instr &di = cfg_.node(def).in;
                     if (!((di.op == Op::kAddi || di.op == Op::kSubi) &&
@@ -1795,200 +1851,33 @@ AbsInterp::inferLoopBounds()
                     const int64_t step = di.op == Op::kAddi
                                              ? int64_t{di.imm}
                                              : -int64_t{di.imm};
-                    if (step == 0)
+                    if (step == 0 || !dominatesBackEdges(def) ||
+                        !dominatesBackEdges(g))
                         continue;
-                    bool domok = true;
-                    for (uint32_t b : L.back_sources) {
-                        if (!dom.dominates(def, b) ||
-                            !dom.dominates(g, b)) {
-                            domok = false;
-                            break;
-                        }
-                    }
-                    if (!domok)
-                        continue;
-                    const bool post = dom.dominates(def, g);
 
                     // Comparison bound: a constant, or a loop-invariant
                     // register's interval.
-                    Interval R;
+                    Interval R = Interval::constant(o.k);
                     if (o.other_reg >= 0) {
-                        const int q = o.other_reg;
-                        bool inv = true;
-                        for (uint32_t mi : L.members) {
-                            const CfgNode &dn = cfg_.node(mi);
-                            if (!dn.valid)
-                                continue;
-                            uint32_t d32 = defs32(dn);
-                            if (dn.is_call)
-                                d32 |= dn.target_in_code
-                                           ? mayDef(dn.target)
-                                           : 0xffffu;
-                            if (d32 & (1u << q)) {
-                                inv = false;
-                                break;
-                            }
-                        }
-                        if (!inv)
+                        if (soleDef(o.other_reg) != kNoDef)
                             continue;
-                        R = gs.reg[q].iv;
-                    } else {
-                        R = Interval::constant(o.k);
+                        R = gs.reg[o.other_reg].iv;
                     }
                     const Interval C = init.reg[r].iv;
-                    const uint64_t s_abs =
-                        step > 0 ? static_cast<uint64_t>(step)
-                                 : static_cast<uint64_t>(-step);
-
-                    // Signed relations demand both sides provably
-                    // non-negative; then they coincide with the
-                    // unsigned ones under a 2^31 value ceiling.
-                    Rel cn = o.cont;
-                    uint64_t limit = kTwo32;
-                    bool usable = true;
-                    switch (cn) {
-                      case Rel::kSlt: case Rel::kSle:
-                      case Rel::kSgt: case Rel::kSge:
-                        if (C.hi >= 0x80000000u || R.hi >= 0x80000000u) {
-                            usable = false;
-                        } else {
-                            limit = uint64_t{1} << 31;
-                            switch (cn) {
-                              case Rel::kSlt: cn = Rel::kUlt; break;
-                              case Rel::kSle: cn = Rel::kUle; break;
-                              case Rel::kSgt: cn = Rel::kUgt; break;
-                              default:        cn = Rel::kUge; break;
-                            }
-                        }
-                        break;
-                      default:
-                        break;
-                    }
-                    if (!usable)
+                    const TripCount t = tripCount(o.cont, C, R, step,
+                                                  dom.dominates(def, g));
+                    if (!t.ok)
                         continue;
-
-                    uint64_t visits = 0;
-                    bool okb = false;
-                    Interval clamp = Interval::top();
-                    bool have_clamp = false;
-
-                    switch (cn) {
-                      case Rel::kNe: {
-                        // Exact-hit exit: needs constant endpoints and
-                        // a step that divides the distance.
-                        if (!R.isConst() || !C.isConst())
-                            break;
-                        const uint64_t c = C.lo, k = R.lo;
-                        if (step < 0) {
-                            if (c < k + (post ? 1 : 0) ||
-                                (c - k) % s_abs)
-                                break;
-                            visits = (c - k) / s_abs + (post ? 0 : 1);
-                            clamp = post
-                                ? Interval{static_cast<uint32_t>(
-                                               k + s_abs),
-                                           static_cast<uint32_t>(c)}
-                                : Interval{static_cast<uint32_t>(k),
-                                           static_cast<uint32_t>(c)};
-                        } else {
-                            if (k < c + (post ? 1 : 0) ||
-                                (k - c) % s_abs)
-                                break;
-                            visits = (k - c) / s_abs + (post ? 0 : 1);
-                            clamp = post
-                                ? Interval{static_cast<uint32_t>(c),
-                                           static_cast<uint32_t>(
-                                               k - s_abs)}
-                                : Interval{static_cast<uint32_t>(c),
-                                           static_cast<uint32_t>(k)};
-                        }
-                        okb = have_clamp = true;
-                        break;
-                      }
-                      case Rel::kUlt: case Rel::kUle: {
-                        if (step < 0)
-                            break;
-                        uint64_t k = R.hi;
-                        if (cn == Rel::kUle) {
-                            if (k + 1 >= limit)
-                                break; // "<= max": never exits here
-                            k += 1;
-                        }
-                        // Continue while v < k.  No-wrap: the largest
-                        // value ever taken is k - 1 + step.
-                        if (k + s_abs > limit)
-                            break;
-                        const uint64_t t =
-                            C.lo < k ? ceilDiv(k - C.lo, s_abs) : 0;
-                        visits = post ? std::max<uint64_t>(1, t) : t + 1;
-                        if (k >= 1) {
-                            clamp = {C.lo,
-                                     std::max(C.hi,
-                                              static_cast<uint32_t>(
-                                                  k - 1))};
-                            have_clamp = post;
-                        }
-                        okb = true;
-                        break;
-                      }
-                      case Rel::kUgt: case Rel::kUge: {
-                        if (step > 0)
-                            break;
-                        uint64_t k = R.lo;
-                        if (cn == Rel::kUgt) {
-                            if (k + 1 >= limit)
-                                break; // "> max": infeasible to stay
-                            k += 1;
-                        }
-                        if (k == 0)
-                            break; // ">= 0": never exits here
-                        // Continue while v >= k.  No-wrap: the smallest
-                        // value ever taken is k - step.
-                        if (k < s_abs)
-                            break;
-                        const uint64_t t =
-                            C.hi >= k ? ceilDiv(C.hi - k + 1, s_abs) : 0;
-                        visits = post ? std::max<uint64_t>(1, t) : t + 1;
-                        clamp = {std::min(C.lo,
-                                          static_cast<uint32_t>(k)),
-                                 C.hi};
-                        have_clamp = post;
-                        okb = true;
-                        break;
-                      }
-                      default:
-                        break;
-                    }
-                    if (!okb)
-                        continue;
-
-                    if (!have || visits < best) {
-                        best = visits;
-                        best_reg = r;
-                        best_guard = g;
-                        best_desc = strprintf(
-                            "induction %s step %+lld, %s guard at %s, "
-                            "entry %s",
-                            regName(r).c_str(),
-                            static_cast<long long>(step),
-                            opName(gn.in.op),
-                            cfg_.describeNode(g).c_str(),
-                            C.describe().c_str());
-                    }
-                    have = true;
-                    if (have_clamp) {
-                        auto [it, fresh] =
-                            clamp_acc.try_emplace(r, clamp);
-                        if (!fresh) {
-                            Interval &cur = it->second;
-                            const uint32_t lo =
-                                std::max(cur.lo, clamp.lo);
-                            const uint32_t hi =
-                                std::min(cur.hi, clamp.hi);
-                            if (lo <= hi)
-                                cur = {lo, hi};
-                        }
-                    }
+                    consider(t.visits, r, g,
+                             strprintf("induction %s step %+lld, %s guard "
+                                       "at %s, entry %s",
+                                       regName(r).c_str(),
+                                       static_cast<long long>(step),
+                                       opName(cfg_.node(g).in.op),
+                                       cfg_.describeNode(g).c_str(),
+                                       C.describe().c_str()));
+                    if (t.have_clamp)
+                        intersectClamp(clamp_acc, r, t.clamp);
                 }
             }
 
@@ -2005,36 +1894,16 @@ AbsInterp::inferLoopBounds()
             // outside predecessors, and the guard tests the post-step
             // value.
             if (!have) {
-                for (uint32_t g : L.members) {
-                    const CfgNode &gn = cfg_.node(g);
-                    if (!gn.valid || nested.count(g))
-                        continue;
-                    Rel rel;
-                    if (!gn.has_target || !relOf(gn.in.op, &rel))
-                        continue;
-                    const bool t_in =
-                        gn.target_in_code && mem.count(gn.target);
-                    const bool f_in = (g + 1 < n) && mem.count(g + 1);
-                    if (t_in == f_in)
-                        continue;
-                    const Rel cont = t_in ? rel : negateRel(rel);
+                for (const ExitGuard &eg : guards) {
+                    const uint32_t g = eg.idx;
                     const AbsState &gs = in_[g];
-                    if (!gs.reachable || gs.cmp_lhs < 0 ||
-                        gs.cmp_rhs_reg >= 0)
+                    if (gs.cmp_rhs_reg >= 0 || !dominatesBackEdges(g))
                         continue;
                     const int r = gs.cmp_lhs;
-                    bool domok = true;
-                    for (uint32_t b : L.back_sources)
-                        if (!dom.dominates(g, b)) {
-                            domok = false;
-                            break;
-                        }
-                    if (!domok)
-                        continue;
 
-                    // Backward straight-line walk from the guard: the
-                    // first def of r reached must be the affine step, the
-                    // next one the reload of the stored cell.
+                    // Backward straight-line walk from the guard: the first
+                    // def of r reached must be the affine step, the next one
+                    // the reload of the stored cell.
                     uint32_t lo_node = ~0u, d_node = ~0u, s_node = ~0u;
                     uint32_t A = 0;
                     int64_t step = 0;
@@ -2055,8 +1924,7 @@ AbsInterp::inferLoopBounds()
                             break;
                         const Instr &di = dn.in;
                         if ((di.op == Op::kStr || di.op == Op::kStrr) &&
-                            di.rd == r && s_node == ~0u &&
-                            d_node == ~0u) {
+                            di.rd == r && s_node == ~0u && d_node == ~0u) {
                             const MemAccess *a = memAccessAt(j);
                             if (a && a->proven && a->addr.isConst() &&
                                 (a->addr.lo & 3u) == 0) {
@@ -2068,21 +1936,18 @@ AbsInterp::inferLoopBounds()
                         if (!(defs32(dn) & (1u << r)))
                             continue;
                         if (d_node == ~0u) {
-                            if ((di.op == Op::kAddi ||
-                                 di.op == Op::kSubi) &&
-                                di.rd == r && di.rs1 == r &&
-                                di.imm != 0 && s_node != ~0u) {
+                            if ((di.op == Op::kAddi || di.op == Op::kSubi) &&
+                                di.rd == r && di.rs1 == r && di.imm != 0 &&
+                                s_node != ~0u) {
                                 d_node = j;
-                                step = di.op == Op::kAddi
-                                           ? int64_t{di.imm}
-                                           : -int64_t{di.imm};
+                                step = di.op == Op::kAddi ? int64_t{di.imm}
+                                                          : -int64_t{di.imm};
                             } else {
                                 break;
                             }
                         } else {
                             const MemAccess *a = memAccessAt(j);
-                            if ((di.op == Op::kLdr ||
-                                 di.op == Op::kLdrr) &&
+                            if ((di.op == Op::kLdr || di.op == Op::kLdrr) &&
                                 di.rd == r && a && a->proven &&
                                 a->addr.isConst() && a->addr.lo == A)
                                 lo_node = j;
@@ -2094,8 +1959,8 @@ AbsInterp::inferLoopBounds()
                         continue;
 
                     // The cell must be written only by the window store:
-                    // every other in-loop store misses [A, A+3], and
-                    // every in-loop call's store summary excludes it.
+                    // every other in-loop store misses [A, A+3], and every
+                    // in-loop call's store summary excludes it.
                     bool cell_ok = true;
                     for (uint32_t mi : L.members) {
                         const CfgNode &dn = cfg_.node(mi);
@@ -2110,8 +1975,7 @@ AbsInterp::inferLoopBounds()
                                 cell_ok = false;
                                 break;
                             }
-                            for (const auto &[slo, shi] :
-                                 it->second.spans)
+                            for (const auto &[slo, shi] : it->second.spans)
                                 if (slo <= uint64_t{A} + 3 && A <= shi) {
                                     cell_ok = false;
                                     break;
@@ -2141,104 +2005,21 @@ AbsInterp::inferLoopBounds()
                     if (ci == init.cell.end())
                         continue;
                     const Interval C = ci->second.iv;
-                    const Interval R = Interval::constant(gs.cmp_rhs_k);
-                    const uint64_t s_abs =
-                        step > 0 ? static_cast<uint64_t>(step)
-                                 : static_cast<uint64_t>(-step);
-
-                    Rel cn = cont;
-                    uint64_t limit = kTwo32;
-                    switch (cn) {
-                      case Rel::kSlt: case Rel::kSle:
-                      case Rel::kSgt: case Rel::kSge:
-                        if (C.hi >= 0x80000000u || R.hi >= 0x80000000u)
-                            continue;
-                        limit = uint64_t{1} << 31;
-                        switch (cn) {
-                          case Rel::kSlt: cn = Rel::kUlt; break;
-                          case Rel::kSle: cn = Rel::kUle; break;
-                          case Rel::kSgt: cn = Rel::kUgt; break;
-                          default:        cn = Rel::kUge; break;
-                        }
-                        break;
-                      default:
-                        break;
-                    }
-
-                    // Guard tests the post-step value (the store and the
-                    // cmp both sit after the affine def in the window).
-                    uint64_t visits = 0;
-                    bool okb = false;
-                    switch (cn) {
-                      case Rel::kNe: {
-                        if (!R.isConst() || !C.isConst())
-                            break;
-                        const uint64_t c = C.lo, k = R.lo;
-                        if (step < 0) {
-                            if (c < k + 1 || (c - k) % s_abs)
-                                break;
-                            visits = (c - k) / s_abs;
-                        } else {
-                            if (k < c + 1 || (k - c) % s_abs)
-                                break;
-                            visits = (k - c) / s_abs;
-                        }
-                        okb = true;
-                        break;
-                      }
-                      case Rel::kUlt: case Rel::kUle: {
-                        if (step < 0)
-                            break;
-                        uint64_t k = R.hi;
-                        if (cn == Rel::kUle) {
-                            if (k + 1 >= limit)
-                                break;
-                            k += 1;
-                        }
-                        if (k + s_abs > limit)
-                            break;
-                        const uint64_t t =
-                            C.lo < k ? ceilDiv(k - C.lo, s_abs) : 0;
-                        visits = std::max<uint64_t>(1, t);
-                        okb = true;
-                        break;
-                      }
-                      case Rel::kUgt: case Rel::kUge: {
-                        if (step > 0)
-                            break;
-                        uint64_t k = R.lo;
-                        if (cn == Rel::kUgt) {
-                            if (k + 1 >= limit)
-                                break;
-                            k += 1;
-                        }
-                        if (k == 0 || k < s_abs)
-                            break;
-                        const uint64_t t =
-                            C.hi >= k ? ceilDiv(C.hi - k + 1, s_abs) : 0;
-                        visits = std::max<uint64_t>(1, t);
-                        okb = true;
-                        break;
-                      }
-                      default:
-                        break;
-                    }
-                    if (!okb)
+                    // The store and the cmp both sit after the affine def in
+                    // the window, so the guard tests the post-step value.
+                    const TripCount t =
+                        tripCount(eg.cont, C, Interval::constant(gs.cmp_rhs_k),
+                                  step, /*post=*/true);
+                    if (!t.ok)
                         continue;
-
-                    if (!have || visits < best) {
-                        best = visits;
-                        best_reg = r;
-                        best_guard = g;
-                        best_desc = strprintf(
-                            "memory induction cell 0x%x step %+lld via "
-                            "%s, %s guard at %s, entry %s",
-                            A, static_cast<long long>(step),
-                            regName(r).c_str(), opName(gn.in.op),
-                            cfg_.describeNode(g).c_str(),
-                            C.describe().c_str());
-                    }
-                    have = true;
+                    consider(t.visits, r, g,
+                             strprintf("memory induction cell 0x%x step %+lld "
+                                       "via %s, %s guard at %s, entry %s",
+                                       A, static_cast<long long>(step),
+                                       regName(r).c_str(),
+                                       opName(cfg_.node(g).in.op),
+                                       cfg_.describeNode(g).c_str(),
+                                       C.describe().c_str()));
                 }
             }
 
@@ -2258,65 +2039,33 @@ AbsInterp::inferLoopBounds()
                 // This is what bounds derived pointers (e.g. a round-key
                 // cursor stepped by 16) that are not the loop's guard
                 // subject.
-                if (best > 0) {
-                    for (int q = 0; q < static_cast<int>(kNumRegs);
-                         ++q) {
-                        uint32_t def = ~0u;
-                        bool ok = true;
-                        for (uint32_t mi : L.members) {
-                            const CfgNode &dn = cfg_.node(mi);
-                            if (!dn.valid)
-                                continue;
-                            uint32_t d32 = defs32(dn);
-                            if (dn.is_call)
-                                d32 |= dn.target_in_code
-                                           ? mayDef(dn.target)
-                                           : 0xffffu;
-                            if (!(d32 & (1u << q)))
-                                continue;
-                            if (def != ~0u || dn.is_call) {
-                                ok = false;
-                                break;
-                            }
-                            def = mi;
-                        }
-                        if (!ok || def == ~0u || nested.count(def))
-                            continue;
-                        const Instr &di = cfg_.node(def).in;
-                        if (!((di.op == Op::kAddi ||
-                               di.op == Op::kSubi) &&
-                              di.rd == q && di.rs1 == q && di.imm > 0))
-                            continue;
-                        const Interval I = init.reg[q].iv;
-                        if (I.isTop())
-                            continue;
-                        const uint64_t travel =
-                            uint64_t{static_cast<uint32_t>(di.imm)} *
-                            (best - 1);
-                        Interval clamp;
-                        if (di.op == Op::kAddi) {
-                            const uint64_t hi = uint64_t{I.hi} + travel;
-                            if (hi >= kTwo32)
-                                continue; // may wrap: no safe clamp
-                            clamp = {I.lo, static_cast<uint32_t>(hi)};
-                        } else {
-                            if (travel > I.lo)
-                                continue; // may wrap below zero
-                            clamp = {static_cast<uint32_t>(I.lo - travel),
-                                     I.hi};
-                        }
-                        auto [it, fresh] =
-                            clamp_acc.try_emplace(q, clamp);
-                        if (!fresh) {
-                            Interval &cur = it->second;
-                            const uint32_t lo =
-                                std::max(cur.lo, clamp.lo);
-                            const uint32_t hi =
-                                std::min(cur.hi, clamp.hi);
-                            if (lo <= hi)
-                                cur = {lo, hi};
-                        }
+                for (int q = 0; best > 0 && q < static_cast<int>(kNumRegs);
+                     ++q) {
+                    const uint32_t def = soleDef(q);
+                    if (def == kNoDef || def == kManyDefs ||
+                        nested.count(def))
+                        continue;
+                    const Instr &di = cfg_.node(def).in;
+                    if (!((di.op == Op::kAddi || di.op == Op::kSubi) &&
+                          di.rd == q && di.rs1 == q && di.imm > 0))
+                        continue;
+                    const Interval I = init.reg[q].iv;
+                    if (I.isTop())
+                        continue;
+                    const uint64_t travel =
+                        uint64_t{static_cast<uint32_t>(di.imm)} * (best - 1);
+                    Interval clamp;
+                    if (di.op == Op::kAddi) {
+                        const uint64_t hi = uint64_t{I.hi} + travel;
+                        if (hi >= kTwo32)
+                            continue; // may wrap: no safe clamp
+                        clamp = {I.lo, static_cast<uint32_t>(hi)};
+                    } else {
+                        if (travel > I.lo)
+                            continue; // may wrap below zero
+                        clamp = {static_cast<uint32_t>(I.lo - travel), I.hi};
                     }
+                    intersectClamp(clamp_acc, q, clamp);
                 }
 
                 if (!clamp_acc.empty())
@@ -2358,17 +2107,9 @@ AbsInterp::deriveClamps()
     // with whatever is already installed (clamps only ever shrink, so
     // the clamp rounds terminate).
     auto next = clamps_;
-    for (const auto &[head, regs] : pending_clamps_) {
-        for (const auto &[r, iv] : regs) {
-            auto [it, fresh] = next[head].try_emplace(r, iv);
-            if (!fresh) {
-                const uint32_t lo = std::max(it->second.lo, iv.lo);
-                const uint32_t hi = std::min(it->second.hi, iv.hi);
-                if (lo <= hi)
-                    it->second = {lo, hi};
-            }
-        }
-    }
+    for (const auto &[head, regs] : pending_clamps_)
+        for (const auto &[r, iv] : regs)
+            intersectClamp(next[head], r, iv);
     if (next == clamps_)
         return false;
     clamps_ = std::move(next);
@@ -2378,19 +2119,16 @@ AbsInterp::deriveClamps()
 void
 AbsInterp::run()
 {
-    computeSummaries();
     computeWidenPoints();
     runOnce();
     collectMemAccesses();
     stabilizeStoreSummaries();
 
-    if (opts_.refine_indirect) {
-        refineIndirectJumps();
-        if (refined_indirects_ != 0) {
-            runOnce();
-            collectMemAccesses();
-            stabilizeStoreSummaries();
-        }
+    refineIndirectJumps();
+    if (refined_indirects_ != 0) {
+        runOnce();
+        collectMemAccesses();
+        stabilizeStoreSummaries();
     }
 
     inferLoopBounds();
@@ -2409,38 +2147,15 @@ AbsInterp::run()
     // summaries it was computed under.  Clamps only tighten accesses, so
     // this holds by construction; if it ever fires, fall back to the
     // conservative no-summary, no-clamp solution.
-    if (!store_summary_.empty() || !ret_summary_.empty()) {
-        const auto got = extractStoreSummaries();
-        const auto got_ret = extractRetSummaries();
-        bool covered = true;
-        for (const auto &[e, s] : got) {
-            auto it = store_summary_.find(e);
-            if (it == store_summary_.end() || !s.coveredBy(it->second)) {
-                covered = false;
-                break;
-            }
-        }
-        for (auto it = ret_summary_.begin();
-             covered && it != ret_summary_.end(); ++it) {
-            auto g = got_ret.find(it->first);
-            if (g == got_ret.end())
-                continue;
-            for (unsigned r = 0; r < kNumRegs; ++r)
-                if (joinValue(it->second[r], g->second[r]) !=
-                    it->second[r]) {
-                    covered = false;
-                    break;
-                }
-        }
-        if (!covered) {
-            store_summary_.clear();
-            ret_summary_.clear();
-            clamps_.clear();
-            pending_clamps_.clear();
-            runOnce();
-            collectMemAccesses();
-            inferLoopBounds();
-        }
+    if ((!store_summary_.empty() || !ret_summary_.empty()) &&
+        !summariesCover(extractStoreSummaries(), extractRetSummaries())) {
+        store_summary_.clear();
+        ret_summary_.clear();
+        clamps_.clear();
+        pending_clamps_.clear();
+        runOnce();
+        collectMemAccesses();
+        inferLoopBounds();
     }
 }
 

@@ -11,15 +11,16 @@
  *     (tri-state per bit), which is what address-alignment and
  *     field-mask reasoning want.
  *
- * The fixpoint runs over the instruction-granularity CFG (cfg.h) with
- * the same interprocedural shape as the linter: calls propagate the
- * caller state into the callee entry and a may-def-clobbered state to
- * the return site.  Widening (with a small threshold ladder) fires at
- * retreating-edge targets and function entries after a short delay;
- * two narrowing sweeps follow convergence.  Conditional branches refine
- * the compared register on both out-edges using the tracked cmp/cmpi
- * operands, which is also how constant branch directions prune
- * infeasible edges.
+ * This is the one value analysis of src/analysis: the certifier and the
+ * linter's address rules both read it.  The fixpoint runs over the
+ * instruction-granularity CFG (cfg.h): calls propagate the caller state
+ * into the callee entry and, through the CFG's function summaries, a
+ * may-def-clobbered state to the return site.  Widening (with a small
+ * threshold ladder) fires at retreating-edge targets and function
+ * entries after a short delay; two narrowing sweeps follow
+ * convergence.  Conditional branches refine the compared register on
+ * both out-edges using the tracked cmp/cmpi operands, which is also how
+ * constant branch directions prune infeasible edges.
  *
  * On top of the fixpoint:
  *
@@ -31,8 +32,9 @@
  *     which is what rescues down-counted loops from widening.
  *   - indirect-jump refinement: a `jr rX` whose register is proven
  *     constant, or whose block-local defining load reads a
- *     store-untouched jump table at proven addresses, gets precise CFG
- *     edges via ControlFlowGraph::refineIndirectTargets.
+ *     store-untouched jump table (at most 4096 bytes) at proven
+ *     addresses, gets precise CFG edges via
+ *     ControlFlowGraph::refineIndirectTargets.
  *
  * Value-tracked memory is limited to word-aligned cells at constant
  * addresses (AbsState::cell), kept consistent across calls by
@@ -44,8 +46,8 @@
  *
  * Soundness caveats (mirrored in docs/ANALYSIS.md): relational facts
  * between registers are not tracked (e.g. r1 <= r2 from a guard), lr
- * save/restore through memory is trusted (the linter's lr-integrity
- * pass guards it), and self-modifying code voids every certificate —
+ * save/restore through memory is trusted (the CFG's lr-integrity pass
+ * guards it), and self-modifying code voids every certificate —
  * certify.h declines when a store may hit the code section.
  */
 
@@ -181,13 +183,6 @@ struct AbsIntOptions
 {
     /** Guest memory size; must match the Machine the program runs on. */
     size_t mem_bytes = 256 * 1024;
-
-    /** Attempt indirect-jump target refinement (and rerun the fixpoint
-     *  when it succeeds). */
-    bool refine_indirect = true;
-
-    /** Give up enumerating a jump table wider than this many bytes. */
-    uint32_t max_table_bytes = 4096;
 };
 
 /**
@@ -245,17 +240,7 @@ class AbsInterp
         return indirect_ok_.count(idx) != 0;
     }
 
-    /** Registers the function entered at @p entry may write (bits
-     *  0..15), bit 16 = may execute gfcfg; ~0u for unknown entries. */
-    uint32_t mayDef(uint32_t entry) const;
-
-    /** True if the function at @p entry executes gfcfg on every path
-     *  to a return. */
-    bool mustConfig(uint32_t entry) const;
-
   private:
-    struct EdgeState;  // transfer output, defined in absint.cc
-
     /** Byte spans a function's stores (transitively, through callees)
      *  may write; `unbounded` when any reachable store is unproven. */
     struct StoreSummary
@@ -266,8 +251,11 @@ class AbsInterp
         bool coveredBy(const StoreSummary &outer) const;
     };
 
-    void computeSummaries();
     void computeWidenPoints();
+    /** Intersect @p st with the proven clamps installed at @p idx;
+     *  false when the clamped state is empty (the inflow is
+     *  infeasible). */
+    bool applyClamps(uint32_t idx, AbsState &st) const;
     void runOnce();
     void narrow();
     void collectMemAccesses();
@@ -278,6 +266,12 @@ class AbsInterp
      *  register states at every reachable return of the function. */
     std::map<uint32_t, std::array<AbsValue, kNumRegs>>
     extractRetSummaries() const;
+    /** True when the assumed store/return summaries cover what the
+     *  current solution extracted (@p got, @p got_ret). */
+    bool summariesCover(
+        const std::map<uint32_t, StoreSummary> &got,
+        const std::map<uint32_t, std::array<AbsValue, kNumRegs>> &got_ret)
+        const;
     /** Assume-guarantee iteration: rerun the fixpoint with extracted
      *  store/return summaries until the extraction is covered by the
      *  assumption. */
@@ -305,11 +299,6 @@ class AbsInterp
     bool stores_unbounded_ = false;
     unsigned refined_indirects_ = 0;
     std::set<uint32_t> indirect_ok_;
-
-    /// Function summaries, lint-style: must/may defined masks with
-    /// bit 16 = gfcfg executed.
-    std::map<uint32_t, uint32_t> must_def_;
-    std::map<uint32_t, uint32_t> may_def_;
 
     /// Assumed per-function may-store summaries; a missing entry means
     /// "may store anywhere" (calls then drop every tracked cell).

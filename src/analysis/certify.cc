@@ -23,7 +23,6 @@
 #include <sstream>
 
 #include "analysis/config_verifier.h"
-#include "analysis/lint.h"
 #include "gfau/config_reg.h"
 #include "hwmodel/energy_model.h"
 #include "isa/isa.h"
@@ -539,6 +538,13 @@ certifyProgram(const Program &prog, const CertifyOptions &opts)
     ProgramCertificate pc;
 
     ControlFlowGraph cfg(prog);
+    // lr-integrity refutes the lr save/restore idiom the value analysis
+    // otherwise trusts.  It reads the graph before AbsInterp refines its
+    // indirect jumps, as the linter does.
+    std::set<uint32_t> lr_suspect_words;
+    for (const auto &[entry, ret] : cfg.lrClobberedReturns())
+        lr_suspect_words.insert(ret);
+
     AbsIntOptions aopts;
     aopts.mem_bytes = opts.mem_bytes;
     AbsInterp ai(cfg, aopts);
@@ -553,32 +559,13 @@ certifyProgram(const Program &prog, const CertifyOptions &opts)
     // ------------------------------------------------------------------
     // Config certificates (one per reachable gfcfg site).
     std::map<uint32_t, unsigned> config_at; // node idx -> pc.configs slot
-    if (opts.check_configs) {
-        for (uint32_t i = 0; i < n; ++i) {
-            const CfgNode &nd = cfg.node(i);
-            if (!nd.valid || nd.in.op != Op::kGfCfg ||
-                !ai.inState(i).reachable)
-                continue;
-            config_at[i] = static_cast<unsigned>(pc.configs.size());
-            pc.configs.push_back(certifyConfigSite(
-                prog, ai, i, static_cast<uint32_t>(nd.in.imm),
-                opts.mem_bytes));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // The linter contributes the lr-integrity refutation, which the
-    // value analysis deliberately trusts otherwise.
-    std::set<uint32_t> lr_suspect_words;
-    {
-        LintOptions lopts;
-        lopts.mem_bytes = opts.mem_bytes;
-        lopts.check_config_blobs = false; // done above, flow-sensitively
-        lopts.max_findings = 0;
-        const LintReport lint = lintProgram(prog, lopts);
-        for (const Finding &f : lint.findings)
-            if (f.rule == LintRule::kLrClobbered)
-                lr_suspect_words.insert(f.pc / 4);
+    for (uint32_t i = 0; i < n; ++i) {
+        const CfgNode &nd = cfg.node(i);
+        if (!nd.valid || nd.in.op != Op::kGfCfg || !ai.inState(i).reachable)
+            continue;
+        config_at[i] = static_cast<unsigned>(pc.configs.size());
+        pc.configs.push_back(certifyConfigSite(
+            prog, ai, i, static_cast<uint32_t>(nd.in.imm), opts.mem_bytes));
     }
 
     // ------------------------------------------------------------------

@@ -31,7 +31,8 @@
  * Soundness boundary (see docs/ANALYSIS.md): certificates describe a
  * program launched by Machine::reset/setArgs on a memory of exactly
  * `mem_bytes`, with no SEU injection, and trust the lr save/restore
- * idiom the linter's lr-integrity pass checks.
+ * idiom only where the lr-integrity pass
+ * (ControlFlowGraph::lrClobberedReturns) finds no clobbered return.
  */
 
 #ifndef GFP_ANALYSIS_CERTIFY_H
@@ -55,9 +56,6 @@ struct CertifyOptions
      *  certificate is checked against it, and unbounded programs fall
      *  back to it. */
     uint64_t watchdog_max_instrs = 500'000'000;
-
-    /** Analyze gfcfg blobs (taint + algebraic classification). */
-    bool check_configs = true;
 };
 
 /** Per-basic-block safety certificate — the unit the future JIT

@@ -22,12 +22,22 @@ usesReductionMatrix(Op op)
     }
 }
 
+uint32_t
+defs32(const CfgNode &nd)
+{
+    uint32_t d = regDefs(nd.in);
+    if (nd.in.op == Op::kGfCfg)
+        d |= kCfgBit;
+    return d;
+}
+
 ControlFlowGraph::ControlFlowGraph(const Program &prog) : prog_(&prog)
 {
     decodeAll();
     markStructure();
     computeMayReturn();
     computeReachable();
+    computeSummaries();
 }
 
 void
@@ -164,6 +174,7 @@ ControlFlowGraph::refineIndirectTargets(uint32_t idx,
     // scratch rather than patching.
     computeMayReturn();
     computeReachable();
+    computeSummaries();
 }
 
 void
@@ -250,6 +261,143 @@ ControlFlowGraph::computeReachable()
         if (nd.is_call && nd.target_in_code)
             push(nd.target);
     }
+}
+
+void
+ControlFlowGraph::computeSummaries()
+{
+    // Greatest-fixpoint must-def summaries (optimistic init: everything
+    // defined), least-fixpoint may-def summaries (init: nothing).
+    must_def_.clear();
+    may_def_.clear();
+    for (uint32_t e : entries_) {
+        must_def_[e] = kAllDefined;
+        may_def_[e] = 0;
+    }
+
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (auto &[entry, summary] : must_def_) {
+            std::vector<uint32_t> nodes = functionNodes(entry);
+            // Dense per-function maps.
+            std::map<uint32_t, uint32_t> out_state;
+            for (uint32_t idx : nodes)
+                out_state[idx] = kAllDefined;
+            std::map<uint32_t, std::vector<uint32_t>> preds;
+            for (uint32_t idx : nodes)
+                for (uint32_t s : intraSucc(idx))
+                    if (out_state.count(s))
+                        preds[s].push_back(idx);
+            bool local = true;
+            while (local) {
+                local = false;
+                for (uint32_t idx : nodes) {
+                    uint32_t in = idx == entry ? 0u : kAllDefined;
+                    if (idx != entry)
+                        for (uint32_t p : preds[idx])
+                            in &= out_state[p];
+                    const CfgNode &nd = nodes_[idx];
+                    uint32_t out = in | defs32(nd);
+                    if (nd.is_call && nd.target_in_code)
+                        out |= mustDef(nd.target);
+                    if (out != out_state[idx]) {
+                        out_state[idx] = out;
+                        local = true;
+                    }
+                }
+            }
+            uint32_t s = kAllDefined;
+            bool any_ret = false;
+            for (uint32_t idx : nodes) {
+                if (nodes_[idx].is_return) {
+                    s &= out_state[idx];
+                    any_ret = true;
+                }
+            }
+            if (!any_ret)
+                s = kAllDefined; // never returns; summary is unused
+            if (s != summary) {
+                summary = s;
+                changed = true;
+            }
+
+            // May-def grows monotonically from 0.
+            uint32_t md = may_def_[entry];
+            for (uint32_t idx : nodes) {
+                const CfgNode &nd = nodes_[idx];
+                md |= defs32(nd);
+                if (nd.is_call && nd.target_in_code)
+                    md |= mayDef(nd.target);
+            }
+            if (md != may_def_[entry]) {
+                may_def_[entry] = md;
+                changed = true;
+            }
+        }
+    }
+}
+
+uint32_t
+ControlFlowGraph::mustDef(uint32_t entry) const
+{
+    auto it = must_def_.find(entry);
+    return it != must_def_.end() ? it->second : 0;
+}
+
+uint32_t
+ControlFlowGraph::mayDef(uint32_t entry) const
+{
+    auto it = may_def_.find(entry);
+    return it != may_def_.end() ? it->second : kAllDefined;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>>
+ControlFlowGraph::lrClobberedReturns() const
+{
+    std::vector<std::pair<uint32_t, uint32_t>> out;
+    for (uint32_t entry : entries_) {
+        if (!reachable_[entry] || !mayReturn(entry))
+            continue;
+        std::vector<uint32_t> nodes = functionNodes(entry);
+        std::map<uint32_t, char> dirty_in;
+        for (uint32_t idx : nodes)
+            dirty_in[idx] = 0;
+        bool changed = true;
+        while (changed) {
+            changed = false;
+            for (uint32_t idx : nodes) {
+                const CfgNode &nd = nodes_[idx];
+                if (!nd.valid)
+                    continue;
+                char dirty = dirty_in[idx];
+                if (nd.is_call) {
+                    dirty = 1;
+                } else if (regDefs(nd.in) & (1u << kRegLr)) {
+                    // Word loads and register moves into lr are the
+                    // restore idioms; anything else taints it.
+                    const Op op = nd.in.op;
+                    bool restore = op == Op::kLdr || op == Op::kLdrr ||
+                                   op == Op::kMov;
+                    dirty = restore ? 0 : 1;
+                }
+                for (uint32_t s : intraSucc(idx)) {
+                    auto it = dirty_in.find(s);
+                    if (it != dirty_in.end() && dirty && !it->second) {
+                        it->second = 1;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        for (uint32_t idx : nodes) {
+            if (nodes_[idx].is_return && dirty_in[idx]) {
+                out.emplace_back(entry, idx);
+                break; // the first such return per function
+            }
+        }
+    }
+    return out;
 }
 
 std::vector<std::vector<uint32_t>>

@@ -19,7 +19,12 @@
  *  - indirect jumps: `jr rX` is over-approximated as "may go to any
  *    labeled instruction" — the only addresses a well-formed program
  *    can name are its labels;
- *  - interprocedural reachability from the entry point at pc 0.
+ *  - interprocedural reachability from the entry point at pc 0;
+ *  - per-function must/may-def summaries, which the linter's
+ *    use-before-def pass and the abstract interpreter (absint.h) both
+ *    use to summarize calls;
+ *  - lr-integrity: returns a called function may reach with lr
+ *    overwritten, read by the linter and the certifier alike.
  *
  * Everything here is derived purely from the Program bytes + symbol
  * table; the simulator is never consulted.
@@ -30,6 +35,8 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/isa.h"
@@ -41,6 +48,13 @@ namespace gfp {
  *  (gfmuls/gfinvs/gfsqs/gfpows).  gfadds is a pure XOR and gf32mul
  *  data-gates the reduction stage, so neither needs a configuration. */
 bool usesReductionMatrix(Op op);
+
+/// Dataflow register masks: bits 0..15 are the architectural
+/// registers, bit 16 is the "GFAU explicitly configured"
+/// pseudo-register written by gfcfg and read by the reduction-dependent
+/// GF ops.
+constexpr uint32_t kCfgBit = 1u << 16;
+constexpr uint32_t kAllDefined = (1u << 17) - 1;
 
 /** One code word of the program under analysis. */
 struct CfgNode
@@ -60,6 +74,9 @@ struct CfgNode
     uint32_t pc() const { return pc_; }
     uint32_t pc_ = 0;
 };
+
+/** Registers node @p nd writes, plus kCfgBit for gfcfg. */
+uint32_t defs32(const CfgNode &nd);
 
 class ControlFlowGraph
 {
@@ -104,12 +121,31 @@ class ControlFlowGraph
      *  returns resume at every return site of the callee's callers. */
     const std::vector<bool> &reachable() const { return reachable_; }
 
+    /** Registers (with kCfgBit) the function entered at @p entry writes
+     *  on every path to a return, callees' must-defs included;
+     *  kAllDefined when it never returns, 0 for a non-entry. */
+    uint32_t mustDef(uint32_t entry) const;
+
+    /** Registers (with kCfgBit) the function entered at @p entry may
+     *  write, callees included; kAllDefined for a non-entry. */
+    uint32_t mayDef(uint32_t entry) const;
+
+    /**
+     * lr-integrity: for every reachable function entry that may return,
+     * the first return it can reach with lr no longer holding the
+     * value it was entered with (a nested bl, or a write to lr other
+     * than the word-load and register-move restore idioms).  Pairs of
+     * (entry, return word index), in function-entry order.
+     */
+    std::vector<std::pair<uint32_t, uint32_t>> lrClobberedReturns() const;
+
     /**
      * Replace the labeled-nodes over-approximation of the indirect jump
      * at @p idx with a proven target set (from the abstract
      * interpreter's const-propagation of the jump register / jump
-     * table).  Downstream structure (mayReturn, reachability) is
-     * recomputed; the refined targets become block leaders.  Passing an
+     * table).  Downstream structure (mayReturn, reachability, the
+     * function summaries) is recomputed; the refined targets become
+     * block leaders.  Passing an
      * empty set is legal and means "no in-code target is feasible" —
      * the node then has no successors, like a halt.
      */
@@ -138,6 +174,7 @@ class ControlFlowGraph
     void markStructure();
     void computeMayReturn();
     void computeReachable();
+    void computeSummaries();
 
     const Program *prog_;
     std::vector<CfgNode> nodes_;
@@ -147,6 +184,8 @@ class ControlFlowGraph
     std::vector<uint32_t> entries_;
     std::vector<bool> may_return_;  ///< per node: a walk from here rets
     std::vector<bool> reachable_;
+    std::map<uint32_t, uint32_t> must_def_; ///< per function entry
+    std::map<uint32_t, uint32_t> may_def_;  ///< per function entry
 };
 
 } // namespace gfp

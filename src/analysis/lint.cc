@@ -1,11 +1,10 @@
 #include "analysis/lint.h"
 
 #include <algorithm>
-#include <array>
 #include <deque>
-#include <map>
 #include <set>
 
+#include "analysis/absint.h"
 #include "analysis/cfg.h"
 #include "analysis/config_verifier.h"
 #include "common/strutil.h"
@@ -73,21 +72,6 @@ LintReport::summary() const
 
 namespace {
 
-/// Dataflow masks: bits 0..15 are the architectural registers, bit 16
-/// is the "GFAU explicitly configured" pseudo-register written by
-/// gfcfg and read by the reduction-dependent GF ops.
-constexpr uint32_t kCfgBit = 1u << 16;
-constexpr uint32_t kAllDefined = (1u << 17) - 1;
-
-uint32_t
-defs32(const CfgNode &nd)
-{
-    uint32_t d = regDefs(nd.in);
-    if (nd.in.op == Op::kGfCfg)
-        d |= kCfgBit;
-    return d;
-}
-
 uint32_t
 uses32(const CfgNode &nd)
 {
@@ -126,9 +110,7 @@ class Linter
              std::string message);
     void checkStructure();
     void checkUnreachable();
-    void computeFunctionSummaries();
     void checkUseBeforeDef();
-    void runConstProp();
     void checkAddresses();
     void checkConfigBlob(uint32_t idx);
     void checkLoops();
@@ -138,30 +120,6 @@ class Linter
     const LintOptions &opts_;
     ControlFlowGraph cfg_;
     LintReport report_;
-
-    /// Per function entry: registers definitely written on every path
-    /// from entry to a return (must-def), and registers possibly
-    /// written (may-def).  Used to summarize calls.
-    std::map<uint32_t, uint32_t> must_def_;
-    std::map<uint32_t, uint32_t> may_def_;
-
-    /// Constant-propagation lattice value per register.
-    struct CVal
-    {
-        bool known = false;
-        uint32_t v = 0;
-        bool operator==(const CVal &o) const
-        {
-            return known == o.known && (!known || v == o.v);
-        }
-    };
-    struct CState
-    {
-        std::array<CVal, kNumRegs> reg{};
-        bool operator==(const CState &o) const { return reg == o.reg; }
-    };
-    std::vector<CState> const_in_;
-    std::vector<bool> const_visited_;
 };
 
 void
@@ -182,9 +140,7 @@ Linter::run()
 {
     checkStructure();
     checkUnreachable();
-    computeFunctionSummaries();
     checkUseBeforeDef();
-    runConstProp();
     checkAddresses();
     checkLoops();
     checkCalls();
@@ -263,91 +219,6 @@ Linter::checkUnreachable()
 }
 
 void
-Linter::computeFunctionSummaries()
-{
-    // Greatest-fixpoint must-def summaries (optimistic init: everything
-    // defined), least-fixpoint may-def summaries (init: nothing).  The
-    // two feed the call transfer function below and in the global pass.
-    for (uint32_t e : cfg_.functionEntries()) {
-        must_def_[e] = kAllDefined;
-        may_def_[e] = 0;
-    }
-
-    auto transfer = [&](uint32_t idx, uint32_t in) {
-        const CfgNode &nd = cfg_.node(idx);
-        uint32_t out = in | defs32(nd);
-        if (nd.is_call && nd.target_in_code) {
-            auto it = must_def_.find(nd.target);
-            if (it != must_def_.end())
-                out |= it->second;
-        }
-        return out;
-    };
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (auto &[entry, summary] : must_def_) {
-            std::vector<uint32_t> nodes = cfg_.functionNodes(entry);
-            // Dense per-function maps.
-            std::map<uint32_t, uint32_t> out_state;
-            for (uint32_t idx : nodes)
-                out_state[idx] = kAllDefined;
-            std::map<uint32_t, std::vector<uint32_t>> preds;
-            for (uint32_t idx : nodes)
-                for (uint32_t s : cfg_.intraSucc(idx))
-                    if (out_state.count(s))
-                        preds[s].push_back(idx);
-            bool local = true;
-            while (local) {
-                local = false;
-                for (uint32_t idx : nodes) {
-                    uint32_t in = idx == entry ? 0u : kAllDefined;
-                    if (idx != entry)
-                        for (uint32_t p : preds[idx])
-                            in &= out_state[p];
-                    uint32_t out = transfer(idx, in);
-                    if (out != out_state[idx]) {
-                        out_state[idx] = out;
-                        local = true;
-                    }
-                }
-            }
-            uint32_t s = kAllDefined;
-            bool any_ret = false;
-            for (uint32_t idx : nodes) {
-                if (cfg_.node(idx).is_return) {
-                    s &= out_state[idx];
-                    any_ret = true;
-                }
-            }
-            if (!any_ret)
-                s = kAllDefined; // never returns; summary is unused
-            if (s != summary) {
-                summary = s;
-                changed = true;
-            }
-
-            // May-def grows monotonically from 0.
-            uint32_t md = may_def_[entry];
-            for (uint32_t idx : nodes) {
-                const CfgNode &nd = cfg_.node(idx);
-                md |= defs32(nd);
-                if (nd.is_call && nd.target_in_code) {
-                    auto it = may_def_.find(nd.target);
-                    if (it != may_def_.end())
-                        md |= it->second;
-                }
-            }
-            if (md != may_def_[entry]) {
-                may_def_[entry] = md;
-                changed = true;
-            }
-        }
-    }
-}
-
-void
 Linter::checkUseBeforeDef()
 {
     const uint32_t n = static_cast<uint32_t>(cfg_.size());
@@ -388,9 +259,7 @@ Linter::checkUseBeforeDef()
         if (nd.is_call && nd.target_in_code) {
             // Callee entry sees the pre-call state plus lr.
             push(nd.target, in[i] | (1u << kRegLr));
-            auto it = must_def_.find(nd.target);
-            if (it != must_def_.end())
-                out |= it->second;
+            out |= cfg_.mustDef(nd.target);
         }
         for (uint32_t s : cfg_.intraSucc(i))
             push(s, out);
@@ -420,144 +289,16 @@ Linter::checkUseBeforeDef()
 }
 
 void
-Linter::runConstProp()
-{
-    const uint32_t n = static_cast<uint32_t>(cfg_.size());
-    const_in_.assign(n, CState{});
-    const_visited_.assign(n, false);
-    if (n == 0)
-        return;
-
-    auto meet = [](CState &into, const CState &from) {
-        bool changed = false;
-        for (unsigned r = 0; r < kNumRegs; ++r) {
-            CVal &a = into.reg[r];
-            const CVal &b = from.reg[r];
-            if (a.known && (!b.known || a.v != b.v)) {
-                a.known = false;
-                changed = true;
-            }
-        }
-        return changed;
-    };
-
-    std::deque<uint32_t> work{0};
-    std::vector<bool> queued(n, false);
-    queued[0] = true;
-    const_visited_[0] = true; // entry: everything unknown
-
-    auto push = [&](uint32_t idx, const CState &state) {
-        bool changed;
-        if (!const_visited_[idx]) {
-            const_in_[idx] = state;
-            const_visited_[idx] = true;
-            changed = true;
-        } else {
-            changed = meet(const_in_[idx], state);
-        }
-        if (changed && !queued[idx]) {
-            queued[idx] = true;
-            work.push_back(idx);
-        }
-    };
-
-    while (!work.empty()) {
-        uint32_t i = work.front();
-        work.pop_front();
-        queued[i] = false;
-        const CfgNode &nd = cfg_.node(i);
-        if (!nd.valid)
-            continue;
-        CState out = const_in_[i];
-        const Instr &in = nd.in;
-        auto &reg = out.reg;
-        auto unknown = [&](unsigned r) { reg[r] = CVal{}; };
-        auto setc = [&](unsigned r, uint32_t v) { reg[r] = CVal{true, v}; };
-        auto binop = [&](auto f) {
-            if (reg[in.rs1].known && reg[in.rs2].known)
-                setc(in.rd, f(reg[in.rs1].v, reg[in.rs2].v));
-            else
-                unknown(in.rd);
-        };
-        auto immop = [&](auto f) {
-            if (reg[in.rs1].known)
-                setc(in.rd, f(reg[in.rs1].v, static_cast<uint32_t>(in.imm)));
-            else
-                unknown(in.rd);
-        };
-        switch (in.op) {
-          case Op::kAdd: binop([](uint32_t a, uint32_t b) { return a + b; }); break;
-          case Op::kSub: binop([](uint32_t a, uint32_t b) { return a - b; }); break;
-          case Op::kAnd: binop([](uint32_t a, uint32_t b) { return a & b; }); break;
-          case Op::kOrr: binop([](uint32_t a, uint32_t b) { return a | b; }); break;
-          case Op::kEor: binop([](uint32_t a, uint32_t b) { return a ^ b; }); break;
-          case Op::kMul: binop([](uint32_t a, uint32_t b) { return a * b; }); break;
-          case Op::kLsl: binop([](uint32_t a, uint32_t b) { return a << (b & 31); }); break;
-          case Op::kLsr: binop([](uint32_t a, uint32_t b) { return a >> (b & 31); }); break;
-          case Op::kAsr:
-            binop([](uint32_t a, uint32_t b) {
-                return static_cast<uint32_t>(static_cast<int32_t>(a) >>
-                                             (b & 31));
-            });
-            break;
-          case Op::kMov:
-            reg[in.rd] = reg[in.rs1];
-            break;
-          case Op::kAddi: immop([](uint32_t a, uint32_t b) { return a + b; }); break;
-          case Op::kSubi: immop([](uint32_t a, uint32_t b) { return a - b; }); break;
-          case Op::kAndi: immop([](uint32_t a, uint32_t b) { return a & b; }); break;
-          case Op::kOrri: immop([](uint32_t a, uint32_t b) { return a | b; }); break;
-          case Op::kEori: immop([](uint32_t a, uint32_t b) { return a ^ b; }); break;
-          case Op::kLsli: immop([](uint32_t a, uint32_t b) { return a << (b & 31); }); break;
-          case Op::kLsri: immop([](uint32_t a, uint32_t b) { return a >> (b & 31); }); break;
-          case Op::kAsri:
-            immop([](uint32_t a, uint32_t b) {
-                return static_cast<uint32_t>(static_cast<int32_t>(a) >>
-                                             (b & 31));
-            });
-            break;
-          case Op::kMovi:
-            setc(in.rd, static_cast<uint32_t>(in.imm) & 0xffff);
-            break;
-          case Op::kMovt:
-            if (reg[in.rd].known)
-                setc(in.rd, (reg[in.rd].v & 0xffff) |
-                                ((static_cast<uint32_t>(in.imm) & 0xffff)
-                                 << 16));
-            else
-                unknown(in.rd);
-            break;
-          default:
-            // Loads, GF ops: destination becomes unknown.  Everything
-            // else writes no register here.
-            for (unsigned r = 0; r < kNumRegs; ++r)
-                if (regDefs(in) & (1u << r))
-                    unknown(r);
-            break;
-        }
-
-        if (nd.is_call && nd.target_in_code) {
-            // Callee sees the pre-call constants (lr holds a code
-            // address we do not track).
-            CState callee = const_in_[i];
-            callee.reg[kRegLr] = CVal{};
-            push(nd.target, callee);
-            // After the call, anything the callee may write is unknown.
-            auto it = may_def_.find(nd.target);
-            uint32_t clobber = (1u << kRegLr) |
-                               (it != may_def_.end() ? it->second : 0xffffu);
-            for (unsigned r = 0; r < kNumRegs; ++r)
-                if (clobber & (1u << r))
-                    out.reg[r] = CVal{};
-        }
-        for (uint32_t s : cfg_.intraSucc(i))
-            push(s, out);
-    }
-}
-
-void
 Linter::checkAddresses()
 {
+    // AbsInterp refines indirect jumps in the graph it runs on, so it
+    // gets a copy: the structural rules keep reading the unrefined one.
+    ControlFlowGraph refined = cfg_;
+    AbsIntOptions aopts;
+    aopts.mem_bytes = opts_.mem_bytes;
+    AbsInterp ai(refined, aopts);
+    ai.run();
+
     const uint32_t n = static_cast<uint32_t>(cfg_.size());
     const auto &reach = cfg_.reachable();
     const uint64_t code_bytes = uint64_t{n} * 4;
@@ -565,67 +306,34 @@ Linter::checkAddresses()
 
     for (uint32_t i = 0; i < n; ++i) {
         const CfgNode &nd = cfg_.node(i);
-        if (!reach[i] || !nd.valid || !const_visited_[i])
+        if (!reach[i] || !nd.valid)
             continue;
         const Instr &in = nd.in;
-        const auto &reg = const_in_[i].reg;
-
         if (in.op == Op::kGfCfg) {
-            if (opts_.check_config_blobs)
-                checkConfigBlob(i);
+            checkConfigBlob(i);
             continue;
         }
-
-        bool is_store = false;
-        unsigned size = 0;
-        bool have_addr = false;
-        uint32_t addr = 0;
-        switch (in.op) {
-          case Op::kLdr: case Op::kStr: size = 4; break;
-          case Op::kLdrh: case Op::kStrh: size = 2; break;
-          case Op::kLdrb: case Op::kStrb: size = 1; break;
-          case Op::kLdrr: case Op::kStrr: size = 4; break;
-          case Op::kLdrhr: case Op::kStrhr: size = 2; break;
-          case Op::kLdrbr: case Op::kStrbr: size = 1; break;
-          default: continue;
-        }
-        switch (in.op) {
-          case Op::kStr: case Op::kStrh: case Op::kStrb:
-          case Op::kStrr: case Op::kStrhr: case Op::kStrbr:
-            is_store = true;
-            break;
-          default: break;
-        }
-        switch (in.op) {
-          case Op::kLdr: case Op::kStr: case Op::kLdrh: case Op::kStrh:
-          case Op::kLdrb: case Op::kStrb:
-            if (reg[in.rs1].known) {
-                have_addr = true;
-                addr = reg[in.rs1].v + static_cast<uint32_t>(in.imm);
-            }
-            break;
-          default:
-            if (reg[in.rs1].known && reg[in.rs2].known) {
-                have_addr = true;
-                addr = reg[in.rs1].v + reg[in.rs2].v;
-            }
-            break;
-        }
-        if (!have_addr)
+        // A constant address interval is the 32-bit sum of constant
+        // operands, wrapped as the core computes it.
+        const MemAccess *a = ai.memAccessAt(i);
+        if (!a || !a->addr.isConst())
             continue;
+        const uint32_t addr = a->addr.lo;
 
-        const uint64_t end = uint64_t{addr} + size;
+        const uint64_t end = uint64_t{addr} + a->size;
         if (end > opts_.mem_bytes) {
             add(LintRule::kOobAddress, Severity::kError, i,
                 strprintf("%s at constant address 0x%x is outside the "
                           "%zu-byte memory (would trap OutOfRangeAccess)",
                           opName(in.op), addr, opts_.mem_bytes));
-        } else if (is_store && addr < code_bytes) {
+        } else if (a->is_store && addr < code_bytes) {
             add(LintRule::kStoreToCode, Severity::kWarning, i,
                 strprintf("%s at constant address 0x%x writes into the "
                           "code section (self-modifying code)",
                           opName(in.op), addr));
-        } else if (addr >= image_end) {
+        } else if (addr >= image_end && in.rs1 != kRegSp) {
+            // sp-based accesses are stack traffic, which lives past the
+            // image by design (reset puts sp at the top of memory).
             add(LintRule::kAddrBeyondImage, Severity::kWarning, i,
                 strprintf("%s at constant address 0x%x is past the "
                           "program image (footprint 0x%zx); such scratch "
@@ -784,51 +492,11 @@ Linter::checkCalls()
     // lr-integrity: a called function must reach its returns with the
     // lr value it was entered with — a nested bl (or using lr as
     // scratch) without a save/restore sends `ret` somewhere stale.
-    for (uint32_t entry : cfg_.functionEntries()) {
-        if (!reach[entry] || !cfg_.mayReturn(entry))
-            continue;
-        std::vector<uint32_t> nodes = cfg_.functionNodes(entry);
-        std::map<uint32_t, char> dirty_in;
-        for (uint32_t idx : nodes)
-            dirty_in[idx] = 0;
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (uint32_t idx : nodes) {
-                const CfgNode &nd = cfg_.node(idx);
-                if (!nd.valid)
-                    continue;
-                char out = dirty_in[idx];
-                if (nd.is_call) {
-                    out = 1;
-                } else if (regDefs(nd.in) & (1u << kRegLr)) {
-                    // Word loads and register moves into lr are the
-                    // restore idioms; anything else taints it.
-                    const Op op = nd.in.op;
-                    bool restore = op == Op::kLdr || op == Op::kLdrr ||
-                                   op == Op::kMov;
-                    out = restore ? 0 : 1;
-                }
-                for (uint32_t s : cfg_.intraSucc(idx)) {
-                    auto it = dirty_in.find(s);
-                    if (it != dirty_in.end() && out && !it->second) {
-                        it->second = 1;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        for (uint32_t idx : nodes) {
-            const CfgNode &nd = cfg_.node(idx);
-            if (nd.is_return && dirty_in[idx]) {
-                add(LintRule::kLrClobbered, Severity::kWarning, idx,
-                    strprintf("function %s may return through a "
-                              "clobbered lr (nested bl without a "
-                              "save/restore?)",
-                              cfg_.describeNode(entry).c_str()));
-                break; // one finding per function
-            }
-        }
+    for (const auto &[entry, ret] : cfg_.lrClobberedReturns()) {
+        add(LintRule::kLrClobbered, Severity::kWarning, ret,
+            strprintf("function %s may return through a clobbered lr "
+                      "(nested bl without a save/restore?)",
+                      cfg_.describeNode(entry).c_str()));
     }
 }
 

@@ -17,10 +17,12 @@
  *                       before any gfcfg (silently computes in the
  *                       power-on default field)
  *   kUnreachable        code no path from the entry reaches
- *   kOobAddress         constant-propagated load/store address outside
+ *   kOobAddress         load/store whose address the abstract
+ *                       interpreter (absint.h) proves constant, outside
  *                       the memory array (would trap OutOfRangeAccess)
  *   kAddrBeyondImage    constant address past the program image but
- *                       inside memory (legal, usually a bug)
+ *                       inside memory (legal, usually a bug); accesses
+ *                       based on sp are stack traffic and exempt
  *   kStoreToCode        constant-address store into the code section
  *                       (self-modifying code)
  *   kInfiniteLoop       loop with no exit edge, or a branch-to-self
@@ -99,9 +101,6 @@ struct LintOptions
     /** Treat r0..r3 as defined at entry (the Machine::setArgs calling
      *  convention).  sp is always defined (reset() seeds it). */
     bool entry_args_defined = true;
-
-    /** Validate gfcfg blob contents against the algebraic verifier. */
-    bool check_config_blobs = true;
 
     /** Stop after this many findings (0 = unlimited). */
     size_t max_findings = 200;

@@ -13,9 +13,11 @@
  *   everything else         1 cycle (including every GF instruction)
  *
  * This header is deliberately dependency-free (isa only, no simulator
- * state) so analysis code can include it without linking gfp_sim; the
- * core's execute() consumes the same constants, and the dispatch
- * differential suite pins the two sides together at runtime.
+ * state) so analysis code can include it without linking gfp_sim.
+ * Core::execute takes every retired instruction's cycles from
+ * cyclesFor(), and the translator and the certifier read the same
+ * functions, so an edit here moves the stepper, translated code and the
+ * WCET bounds together.
  */
 
 #ifndef GFP_SIM_COST_MODEL_H

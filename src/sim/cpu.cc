@@ -123,7 +123,7 @@ Core::execute(const Instr &in)
     auto &r = regs_;
     const uint32_t next_pc = pc_ + 4;
     uint32_t new_pc = next_pc;
-    unsigned cycles = kDefaultCycles;
+    bool taken = false;
 
     if (isGfOp(in.op) && kind_ == CoreKind::kBaseline) {
         pending_trap_ = TrapKind::kGfOnBaseline;
@@ -176,53 +176,41 @@ Core::execute(const Instr &in)
 
       case Op::kLdr:
         r[in.rd] = mem_.read32(r[in.rs1] + static_cast<uint32_t>(in.imm));
-        cycles = kMemCycles;
         break;
       case Op::kStr:
         mem_.write32(r[in.rs1] + static_cast<uint32_t>(in.imm), r[in.rd]);
-        cycles = kMemCycles;
         break;
       case Op::kLdrb:
         r[in.rd] = mem_.read8(r[in.rs1] + static_cast<uint32_t>(in.imm));
-        cycles = kMemCycles;
         break;
       case Op::kStrb:
         mem_.write8(r[in.rs1] + static_cast<uint32_t>(in.imm),
                     static_cast<uint8_t>(r[in.rd]));
-        cycles = kMemCycles;
         break;
       case Op::kLdrh:
         r[in.rd] = mem_.read16(r[in.rs1] + static_cast<uint32_t>(in.imm));
-        cycles = kMemCycles;
         break;
       case Op::kStrh:
         mem_.write16(r[in.rs1] + static_cast<uint32_t>(in.imm),
                      static_cast<uint16_t>(r[in.rd]));
-        cycles = kMemCycles;
         break;
       case Op::kLdrr:
         r[in.rd] = mem_.read32(r[in.rs1] + r[in.rs2]);
-        cycles = kMemCycles;
         break;
       case Op::kStrr:
         mem_.write32(r[in.rs1] + r[in.rs2], r[in.rd]);
-        cycles = kMemCycles;
         break;
       case Op::kLdrbr:
         r[in.rd] = mem_.read8(r[in.rs1] + r[in.rs2]);
-        cycles = kMemCycles;
         break;
       case Op::kStrbr:
         mem_.write8(r[in.rs1] + r[in.rs2], static_cast<uint8_t>(r[in.rd]));
-        cycles = kMemCycles;
         break;
       case Op::kLdrhr:
         r[in.rd] = mem_.read16(r[in.rs1] + r[in.rs2]);
-        cycles = kMemCycles;
         break;
       case Op::kStrhr:
         mem_.write16(r[in.rs1] + r[in.rs2], static_cast<uint16_t>(r[in.rd]));
-        cycles = kMemCycles;
         break;
 
       case Op::kB:
@@ -237,20 +225,18 @@ Core::execute(const Instr &in)
       case Op::kBhi:
       case Op::kBls:
       case Op::kBl:
-        if (condition(in.op)) {
+        taken = condition(in.op);
+        if (taken) {
             if (in.op == Op::kBl)
                 r[kRegLr] = next_pc;
             new_pc = next_pc + static_cast<uint32_t>(in.imm) * 4;
-            cycles = kTakenBranchCycles;
         }
         break;
       case Op::kJr:
         new_pc = r[in.rs1];
-        cycles = kTakenBranchCycles;
         break;
       case Op::kRet:
         new_pc = r[kRegLr];
-        cycles = kTakenBranchCycles;
         break;
       case Op::kNop:
         break;
@@ -289,7 +275,6 @@ Core::execute(const Instr &in)
             return 0;
         }
         gfau_.loadConfig(cfg);
-        cycles = kMemCycles;
         break;
       }
 
@@ -298,7 +283,7 @@ Core::execute(const Instr &in)
     }
 
     pc_ = new_pc;
-    return cycles;
+    return cyclesFor(in.op, taken);
 }
 
 Core::StepResult

@@ -117,6 +117,28 @@ slot:
     EXPECT_EQ(v, 10u);
 }
 
+TEST(AbsInt, ArithmeticShiftOfNegativeValueKeepsItsRange)
+{
+    // asr of a provably negative value fills with ones and is monotonic,
+    // so a constant stays constant and a range maps endpoint to endpoint.
+    Analyzed a(R"(
+    li   r1, #0xfffffff0
+    asri r2, r1, #2
+    li   r3, #0x80000000
+    andi r5, r0, #15
+    add  r3, r3, r5
+    asri r4, r3, #2
+done:
+    halt
+)");
+    const AbsState &st = a.ai.inState(wordOf(a.prog, "done"));
+    ASSERT_TRUE(st.reachable);
+    uint32_t v = 0;
+    EXPECT_TRUE(st.reg[2].isConst(&v));
+    EXPECT_EQ(v, 0xfffffffcu);
+    EXPECT_EQ(st.reg[4].iv, Interval::range(0xe0000000u, 0xe0000003u));
+}
+
 TEST(AbsInt, GuardRefinesComparedRegister)
 {
     // r1 is unknown (loaded from memory); the blo guard bounds it on

@@ -1044,7 +1044,7 @@ fig10()
                    const char *paper) {
         const uint64_t b = measure(base, kBase, inputs, out).cycles;
         const uint64_t g = measure(gf, kGf, inputs, out).cycles;
-        std::printf("  %-14s %9llu %9llu   %6.1fx   paper: %s\n", name,
+        std::printf("  %-16s %9llu %9llu   %6.1fx   paper: %s\n", name,
                     ull(b), ull(g), ratio(b, g), paper);
         return g;
     };

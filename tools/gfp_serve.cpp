@@ -8,11 +8,11 @@
  *   gfp-serve [options]
  *
  *   --unix PATH         listen on a unix-domain socket at PATH
- *   --tcp PORT          listen on 127.0.0.1:PORT (0 = ephemeral; the
- *                       bound port is printed).  At least one of
- *                       --unix/--tcp is required
- *   --threads N         request workers, each running whole requests
- *                       (default 0 = one per hardware thread)
+ *   --tcp PORT          listen on 127.0.0.1:PORT, 0..65535 (0 =
+ *                       ephemeral; the bound port is printed).  At
+ *                       least one of --unix/--tcp is required
+ *   --threads N         request workers, each running whole requests,
+ *                       0..256 (default 0 = one per hardware thread)
  *   --dispatch MODE     translated (default) | plain — the engine
  *                       dispatch mode; translated JIT-compiles each
  *                       kernel once and shares it across workers,
@@ -28,12 +28,17 @@
  *                       until SIGINT/SIGTERM)
  *   -q, --quiet         suppress status chatter
  *
+ * A numeric flag whose value is not a number in its range exits 2
+ * while the arguments are parsed, before any listener or worker exists.
+ *
  * SIGINT/SIGTERM trigger a graceful drain: listeners close, admitted
  * requests finish and flush, then the process exits 0.
  */
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,6 +75,23 @@ usage(const char *argv0)
     return 2;
 }
 
+/// The value of integer flag @p flag; exits 2 naming the flag and its
+/// range unless @p text is a decimal integer in [lo, hi].
+uint64_t
+parseInteger(const char *flag, const char *text, uint64_t lo, uint64_t hi)
+{
+    const char *end = text + std::strlen(text);
+    uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+        std::fprintf(stderr, "%s takes an integer in %llu..%llu, not '%s'\n",
+                     flag, static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi), text);
+        std::exit(2);
+    }
+    return v;
+}
+
 } // namespace
 
 int
@@ -92,24 +114,24 @@ main(int argc, char **argv)
             opts.unix_path = need("--unix");
         }
         else if (arg == "--tcp") {
-            opts.tcp_port =
-                static_cast<uint16_t>(std::atoi(need("--tcp")));
+            opts.tcp_port = static_cast<uint16_t>(
+                parseInteger("--tcp", need("--tcp"), 0, 65535));
         }
         else if (arg == "--threads") {
-            opts.engine.threads =
-                static_cast<unsigned>(std::atoi(need("--threads")));
+            opts.engine.threads = static_cast<unsigned>(
+                parseInteger("--threads", need("--threads"), 0, 256));
         }
         else if (arg == "--dispatch") {
             if (!parseDispatchMode(need("--dispatch"), opts.engine.dispatch))
                 return usage(argv[0]);
         }
         else if (arg == "--watermark") {
-            opts.admission_watermark =
-                static_cast<size_t>(std::atoll(need("--watermark")));
+            opts.admission_watermark = static_cast<size_t>(parseInteger(
+                "--watermark", need("--watermark"), 0, SIZE_MAX));
         }
         else if (arg == "--max-instrs") {
-            opts.engine.max_instrs =
-                static_cast<uint64_t>(std::atoll(need("--max-instrs")));
+            opts.engine.max_instrs = parseInteger(
+                "--max-instrs", need("--max-instrs"), 0, UINT64_MAX);
         }
         else if (arg == "--metrics") {
             metrics_path = need("--metrics");
@@ -118,7 +140,15 @@ main(int argc, char **argv)
             trace_path = need("--trace");
         }
         else if (arg == "--duration") {
-            duration_s = std::atof(need("--duration"));
+            const char *text = need("--duration");
+            char *end = nullptr;
+            duration_s = std::strtod(text, &end);
+            if (*text == '\0' || *end != '\0' || !(duration_s >= 0)) {
+                std::fprintf(stderr,
+                             "--duration takes seconds >= 0, not '%s'\n",
+                             text);
+                return 2;
+            }
         }
         else if (arg == "-q" || arg == "--quiet") {
             opts.quiet = true;
